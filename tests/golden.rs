@@ -23,6 +23,10 @@
 //! ./target/release/zng-cli run -p zng -w betw --warps 8 --ops 40 \
 //!     --footprint 128 --json --checkpoint --checkpoint-every 25 \
 //!     --crash-at 100 > tests/golden/run_checkpoint.json
+//! ./target/release/zng-cli run -p zng -w betw --warps 8 --ops 40 \
+//!     --footprint 128 --json --scrub-every 25 --integrity \
+//!     --refresh-every 25 --checkpoint-every 25 --health 25 \
+//!     --crash-at 100 > tests/golden/run_reliable.json
 //! ```
 
 use std::path::Path;
@@ -143,5 +147,32 @@ fn checkpointed_crash_run_matches_golden() {
         &got,
         &golden("run_checkpoint.json"),
         "checkpointed crash run",
+    );
+}
+
+/// Pins the maintenance paths together: scrub, refresh and static
+/// levelling, health monitoring and checkpointing all run on their
+/// cadence, then a power cut recovers through the fast path from the
+/// checkpoint's epoch images. The golden has 15 checkpoints, 13
+/// levelling migrations and `crash_fast_path: true`.
+#[test]
+fn reliable_maintenance_run_matches_golden() {
+    let got = run_cli(&[
+        "--scrub-every",
+        "25",
+        "--integrity",
+        "--refresh-every",
+        "25",
+        "--checkpoint-every",
+        "25",
+        "--health",
+        "25",
+        "--crash-at",
+        "100",
+    ]);
+    assert_bytes_match(
+        &got,
+        &golden("run_reliable.json"),
+        "reliable maintenance run",
     );
 }
