@@ -11,7 +11,7 @@
 
 use zng_sim::AdmissionQueue;
 use zng_types::{
-    ids::{ChannelId, DieId},
+    ids::{ChannelId, DieId, PlaneId},
     BlockAddr, Cycle, Error, FlashAddr, Freq, Result,
 };
 
@@ -23,7 +23,7 @@ use crate::fault::{
 use crate::geometry::FlashGeometry;
 use crate::network::FlashNetwork;
 use crate::package::{BufferedWrite, FlashPackage, PendingProgram, RegisterTopology};
-use crate::plane::{EraseReport, ProgramReport};
+use crate::plane::{EraseReport, Plane, ProgramReport};
 use crate::stats::FlashStats;
 use crate::timing::{FlashCycles, FlashTiming};
 
@@ -145,6 +145,12 @@ pub struct FlashDevice {
     /// read/program penalties through a cycle window, death at its end.
     /// `None` (the default) performs no draws at all.
     degrade: Option<DegradeState>,
+    /// Running sum of every block's erase count (kept by
+    /// [`FlashDevice::erase`], so [`FlashDevice::wear_spread`] needs no
+    /// walk).
+    total_erases: u64,
+    /// Running maximum of any block's erase count.
+    max_block_erases: u32,
 }
 
 impl FlashDevice {
@@ -190,6 +196,8 @@ impl FlashDevice {
             sdc_at: None,
             disturb_unit: None,
             degrade: None,
+            total_erases: 0,
+            max_block_erases: 0,
         })
     }
 
@@ -794,6 +802,11 @@ impl FlashDevice {
         self.fenced_seq = self.program_seq;
         let mut report =
             self.packages[block.channel.index()].erase_block(now, plane_idx, block.block)?;
+        // The erase bumped the block's count (even a failed erase wears
+        // the cells): fold it into the running wear totals.
+        let count = self.block(block).map_or(0, Block::erase_count);
+        self.total_erases += 1;
+        self.max_block_erases = self.max_block_erases.max(count);
         // Degrading-die erase penalty, mirroring the program penalty.
         if !report.failed {
             if let Some(st) = self.degrade.as_mut() {
@@ -958,27 +971,90 @@ impl FlashDevice {
         self.stats.reset();
     }
 
+    /// Device-wide indices ([`FlashGeometry::block_for_index`]) of every
+    /// block ever touched, ascending. Untouched blocks hold no media
+    /// state: never programmed, never erased.
+    pub fn touched_blocks(&self) -> Vec<u64> {
+        let mut out = Vec::new();
+        self.for_each_plane(|g, ch, plane_idx, plane| {
+            out.extend(
+                plane
+                    .touched_blocks()
+                    .map(|b| block_index(g, ch, plane_idx, b)),
+            );
+        });
+        out.sort_unstable();
+        out
+    }
+
+    /// Device-wide indices of every block whose media image (OOB
+    /// records, program pointer, erase count, failure and corruption
+    /// flags) may have changed since the previous drain, ascending;
+    /// clears the set. Every mutable path to a block marks it — the
+    /// [`FlashDevice::block_mut`] chokepoint, programs, erases, power
+    /// loss — except read-disturb counting. A superset is always safe:
+    /// a consumer re-reads each index it gets.
+    pub fn drain_dirty_blocks(&mut self) -> Vec<u64> {
+        let g = self.geometry;
+        let mut out = Vec::new();
+        for (ch, pkg) in self.packages.iter_mut().enumerate() {
+            for plane_idx in 0..pkg.plane_count() {
+                let dirty = pkg.plane_mut(plane_idx).drain_dirty();
+                out.extend(dirty.into_iter().map(|b| block_index(&g, ch, plane_idx, b)));
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    fn for_each_plane(&self, mut f: impl FnMut(&FlashGeometry, usize, usize, &Plane)) {
+        for (ch, pkg) in self.packages.iter().enumerate() {
+            for plane_idx in 0..pkg.plane_count() {
+                f(&self.geometry, ch, plane_idx, pkg.plane(plane_idx));
+            }
+        }
+    }
+
+    /// The static wear leveler's trigger metric,
+    /// [`EnduranceReport::wear_spread`], in O(1) from the running erase
+    /// totals: bit-identical to `self.endurance().wear_spread()`.
+    pub fn wear_spread(&self) -> f64 {
+        EnduranceReport {
+            total_erases: self.total_erases,
+            max_block_erases: self.max_block_erases,
+            // Not inputs of the spread.
+            min_block_erases: 0,
+            worn_blocks: 0,
+            total_blocks: self.geometry.total_blocks() as u64,
+            pe_limit: PE_LIMIT,
+        }
+        .wear_spread()
+    }
+
     /// Endurance summary across every block ever touched (paper §VI's
     /// lifetime discussion): total erases, the worst-worn block, and how
-    /// evenly wear is spread.
+    /// evenly wear is spread. Untouched blocks count with zero wear.
     pub fn endurance(&self) -> EnduranceReport {
         let mut total = 0u64;
         let mut max = 0u32;
         let mut min = u32::MAX;
         let mut worn_blocks = 0u64;
+        let mut touched = 0u64;
         let total_blocks = self.geometry.total_blocks() as u64;
-        for idx in 0..total_blocks {
-            let addr = match self.geometry.block_for_index(idx) {
-                Ok(a) => a,
-                Err(_) => continue,
-            };
-            let e = self.block(addr).map(|b| b.erase_count()).unwrap_or(0);
-            min = min.min(e);
-            if e > 0 {
-                worn_blocks += 1;
-                total += e as u64;
-                max = max.max(e);
+        self.for_each_plane(|_, _, _, plane| {
+            for b in plane.touched_blocks() {
+                let e = plane.block(b).map_or(0, Block::erase_count);
+                touched += 1;
+                min = min.min(e);
+                if e > 0 {
+                    worn_blocks += 1;
+                    total += e as u64;
+                    max = max.max(e);
+                }
             }
+        });
+        if touched < total_blocks {
+            min = 0;
         }
         EnduranceReport {
             total_erases: total,
@@ -989,6 +1065,17 @@ impl FlashDevice {
             pe_limit: PE_LIMIT,
         }
     }
+}
+
+/// Device-wide index of block `block` on package `ch`'s plane
+/// `plane_idx` (package-local, see [`FlashPackage::plane_index`]).
+fn block_index(g: &FlashGeometry, ch: usize, plane_idx: usize, block: u32) -> u64 {
+    g.index_for_block(BlockAddr::new(
+        ChannelId(ch as u16),
+        DieId((plane_idx / g.planes_per_die) as u16),
+        PlaneId((plane_idx % g.planes_per_die) as u16),
+        block,
+    ))
 }
 
 #[cfg(test)]
@@ -1380,6 +1467,138 @@ mod tests {
             "single worn block must show a spread"
         );
         assert!(e.min_wear_fraction() < e.worst_wear_fraction());
+    }
+
+    /// The reference endurance walk: every index of the geometry, touched
+    /// or not.
+    fn endurance_reference(d: &FlashDevice) -> EnduranceReport {
+        let mut total = 0u64;
+        let mut max = 0u32;
+        let mut min = u32::MAX;
+        let mut worn_blocks = 0u64;
+        let total_blocks = d.geometry().total_blocks() as u64;
+        for idx in 0..total_blocks {
+            let addr = d.geometry().block_for_index(idx).unwrap();
+            let e = d.block(addr).map_or(0, Block::erase_count);
+            min = min.min(e);
+            if e > 0 {
+                worn_blocks += 1;
+                total += e as u64;
+                max = max.max(e);
+            }
+        }
+        EnduranceReport {
+            total_erases: total,
+            max_block_erases: max,
+            min_block_erases: if min == u32::MAX { 0 } else { min },
+            worn_blocks,
+            total_blocks,
+            pe_limit: PE_LIMIT,
+        }
+    }
+
+    fn assert_wear_consistent(d: &FlashDevice) {
+        let e = d.endurance();
+        assert_eq!(e, endurance_reference(d), "touched-only walk");
+        assert_eq!(
+            d.wear_spread().to_bits(),
+            e.wear_spread().to_bits(),
+            "running totals give the walk's spread bit for bit"
+        );
+    }
+
+    #[test]
+    fn running_wear_totals_match_full_walk() {
+        let mut d = device();
+        d.set_fault_config(&FaultConfig::end_of_life().with_seed(11));
+        let g = *d.geometry();
+        assert_wear_consistent(&d);
+        let mut t = Cycle(0);
+        let mut failed_erases = 0u64;
+        let mut torn = 0u64;
+        // Round 0 erases every block once (min wear > 0); later rounds
+        // skew wear onto strided subsets, with a power cut midway.
+        for (round, stride) in [1usize, 3, 7, 2, 5].into_iter().enumerate() {
+            for idx in (0..g.total_blocks() as u64).step_by(stride) {
+                let addr = g.block_for_index(idx).unwrap();
+                let r = d.program(t, addr, idx).unwrap();
+                d.invalidate(addr.page(r.page));
+                t = r.done;
+                let rep = d.erase(t, addr).unwrap();
+                failed_erases += rep.failed as u64;
+                t = rep.done;
+            }
+            if round == 2 {
+                // Programs left in flight tear at the cut; the cut drops
+                // validity so their blocks can be erased afterwards.
+                for idx in (0..g.total_blocks() as u64).step_by(9) {
+                    d.program(t, g.block_for_index(idx).unwrap(), idx).unwrap();
+                }
+                torn += d.power_loss(t).pages_torn;
+                for idx in (0..g.total_blocks() as u64).step_by(9) {
+                    let rep = d.erase(t, g.block_for_index(idx).unwrap()).unwrap();
+                    failed_erases += rep.failed as u64;
+                }
+            }
+            assert_wear_consistent(&d);
+        }
+        // Round 0 wore every block, so the minimum comes from the
+        // touched walk itself rather than the untouched-block rule.
+        assert!(d.endurance().min_block_erases >= 1);
+        assert!(failed_erases > 0, "EOL rates must fail some erases");
+        assert!(torn > 0, "the power cut must tear in-flight programs");
+        // A rejected erase (valid pages remain) wears nothing.
+        let addr = g.block_for_index(4).unwrap();
+        d.program(t, addr, 4).unwrap();
+        let before = d.endurance();
+        assert!(d.erase(t, addr).is_err());
+        assert_eq!(d.endurance(), before);
+        assert_wear_consistent(&d);
+    }
+
+    #[test]
+    fn touched_blocks_are_ascending_and_complete() {
+        let mut d = device();
+        let g = *d.geometry();
+        for idx in [900u64, 3, 17, 256, 4, 1023] {
+            d.program(Cycle(0), g.block_for_index(idx).unwrap(), idx)
+                .unwrap();
+        }
+        let want: Vec<u64> = (0..g.total_blocks() as u64)
+            .filter(|&i| d.block(g.block_for_index(i).unwrap()).is_some())
+            .collect();
+        assert_eq!(d.touched_blocks(), want);
+        assert_eq!(want, vec![3, 4, 17, 256, 900, 1023]);
+    }
+
+    #[test]
+    fn dirty_set_tracks_media_mutations_only() {
+        let mut d = device();
+        d.set_endurance_tracking(Some(4));
+        let g = *d.geometry();
+        assert!(d.drain_dirty_blocks().is_empty());
+        let a = g.block_for_index(6).unwrap();
+        let b = g.block_for_index(2).unwrap();
+        let r = d.program(Cycle(0), a, 1).unwrap();
+        d.program(Cycle(0), b, 2).unwrap();
+        d.program(Cycle(0), a, 3).unwrap();
+        assert_eq!(d.drain_dirty_blocks(), vec![2, 6], "ascending, once each");
+        assert!(d.drain_dirty_blocks().is_empty(), "draining clears");
+        // Array senses bump the disturb counter but change no image.
+        d.read(r.done, a.page(0), 1, 128).unwrap();
+        d.read(r.done, a.page(1), 3, 128).unwrap();
+        assert_eq!(d.stats().disturb_reads(), 2, "both reads sensed the array");
+        assert!(d.drain_dirty_blocks().is_empty(), "disturb is not media");
+        // The block_mut chokepoint and erases mark.
+        d.block_mut(b).unwrap().mark_corrupt(0);
+        assert_eq!(d.drain_dirty_blocks(), vec![2]);
+        d.invalidate(a.page(0));
+        d.invalidate(a.page(1));
+        d.erase(Cycle(1_000_000), a).unwrap();
+        assert_eq!(d.drain_dirty_blocks(), vec![6]);
+        // A power loss marks every materialised block.
+        d.power_loss(Cycle(2_000_000));
+        assert_eq!(d.drain_dirty_blocks(), vec![2, 6]);
     }
 
     #[test]

@@ -65,6 +65,15 @@ pub struct Plane {
     /// nothing. Iteration (power loss) walks in index order, which is
     /// deterministic by construction.
     blocks: Vec<Option<Block>>,
+    /// Per-block membership flag of `dirty`, sized like `blocks`, so
+    /// marking a mutated block costs one branch.
+    dirty_flag: Vec<bool>,
+    /// Blocks whose media image may have changed since the last
+    /// [`Plane::drain_dirty`], in first-mutation order: every block
+    /// handed out through the mutable chokepoints, plus every
+    /// materialised block at a power loss. Disturb-counter bumps do not
+    /// mark (disturb is not part of a block's media image).
+    dirty: Vec<u32>,
     /// Program/erase occupancy.
     array: Resource,
     /// Read occupancy (reads suspend programs, so they only queue behind
@@ -102,6 +111,8 @@ impl Plane {
             pages_per_block,
             timing,
             blocks: Vec::new(),
+            dirty_flag: Vec::new(),
+            dirty: Vec::new(),
             array: Resource::new(1),
             read_port: Resource::new(1),
             sensed: None,
@@ -160,9 +171,40 @@ impl Plane {
         let idx = block as usize;
         if idx >= self.blocks.len() {
             self.blocks.resize_with(idx + 1, || None);
+            self.dirty_flag.resize(idx + 1, false);
         }
+        self.mark_dirty(idx);
         let pages = self.pages_per_block;
         Ok(self.blocks[idx].get_or_insert_with(|| Block::new(pages)))
+    }
+
+    /// Records `idx` (a slot inside `blocks`) as mutated since the last
+    /// drain.
+    fn mark_dirty(&mut self, idx: usize) {
+        if !self.dirty_flag[idx] {
+            self.dirty_flag[idx] = true;
+            self.dirty.push(idx as u32);
+        }
+    }
+
+    /// Block indices mutated since the previous call, in ascending
+    /// order; clears the set.
+    pub fn drain_dirty(&mut self) -> Vec<u32> {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        for &b in &dirty {
+            self.dirty_flag[b as usize] = false;
+        }
+        dirty.sort_unstable();
+        dirty
+    }
+
+    /// Indices of every block ever touched, ascending.
+    pub fn touched_blocks(&self) -> impl Iterator<Item = u32> + '_ {
+        self.blocks
+            .iter()
+            .enumerate()
+            .filter(|(_, b)| b.is_some())
+            .map(|(i, _)| i as u32)
     }
 
     /// Shared access to a block, if it has ever been touched.
@@ -172,7 +214,12 @@ impl Plane {
 
     /// Mutable access to a block only if it has ever been touched.
     fn touched_mut(&mut self, block: u32) -> Option<&mut Block> {
-        self.blocks.get_mut(block as usize).and_then(|b| b.as_mut())
+        let idx = block as usize;
+        if !self.blocks.get(idx).is_some_and(Option::is_some) {
+            return None;
+        }
+        self.mark_dirty(idx);
+        self.blocks[idx].as_mut()
     }
 
     /// Senses one page from the array; returns sense-complete time.
@@ -305,7 +352,9 @@ impl Plane {
         if self.disturb_unit.is_none() {
             return;
         }
-        if let Some(b) = self.touched_mut(block) {
+        // Not `touched_mut`: disturb is not part of the block's media
+        // image, so the bump must not mark the block dirty.
+        if let Some(b) = self.blocks.get_mut(block as usize).and_then(Option::as_mut) {
             b.note_disturb_read();
             self.disturb_noted += 1;
         }
@@ -388,11 +437,14 @@ impl Plane {
     pub fn power_loss(&mut self, now: Cycle, fenced_seq: u64) -> u64 {
         self.sensed = None;
         self.sensed_at = Cycle::ZERO;
-        self.blocks
-            .iter_mut()
-            .flatten()
-            .map(|b| b.power_loss(now, fenced_seq) as u64)
-            .sum()
+        let mut torn = 0u64;
+        for idx in 0..self.blocks.len() {
+            if let Some(b) = self.blocks[idx].as_mut() {
+                torn += b.power_loss(now, fenced_seq) as u64;
+                self.mark_dirty(idx);
+            }
+        }
+        torn
     }
 
     /// When the array next becomes idle.

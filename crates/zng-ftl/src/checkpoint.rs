@@ -44,6 +44,7 @@
 //! restored from the checkpoint without a scan.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use zng_flash::{BlockKind, FlashDevice, PageOob};
 use zng_types::{BlockAddr, Cycle};
@@ -166,8 +167,9 @@ struct MediaPage {
 /// One committed checkpoint epoch.
 #[derive(Debug, Clone)]
 struct Epoch {
-    /// Per-block media images at capture time.
-    images: Vec<ScannedBlock>,
+    /// Per-block media images at capture time (shared with the image
+    /// cache: an unchanged block costs one reference per epoch).
+    images: Vec<Arc<ScannedBlock>>,
     /// Blocks that could still change without journal evidence: kind
     /// assigned and not full, or holding in-flight demand programs.
     open: BTreeSet<u64>,
@@ -228,6 +230,11 @@ pub(crate) struct CheckpointState {
     valid: bool,
     overflowed: bool,
     last_now: Cycle,
+    /// Media image of every touched block by device index, dead dies
+    /// included, kept current across captures by re-imaging only the
+    /// device's dirty blocks (see [`capture_images`]). `None` until the
+    /// first capture, and again after a recovery.
+    image_cache: Option<BTreeMap<u64, Arc<ScannedBlock>>>,
 }
 
 impl CheckpointState {
@@ -248,6 +255,7 @@ impl CheckpointState {
             valid: true,
             overflowed: false,
             last_now: Cycle::ZERO,
+            image_cache: None,
         }
     }
 
@@ -333,6 +341,7 @@ impl CheckpointState {
         self.step_touched.clear();
         self.valid = true;
         self.overflowed = false;
+        self.image_cache = None;
     }
 
     /// Plans the fast-path recovery scan, or `None` when the fallback
@@ -371,7 +380,7 @@ impl CheckpointState {
             .images
             .iter()
             .filter(|b| !rescan.contains(&b.idx) && !device.die_is_dead(b.addr.channel, b.addr.die))
-            .map(|b| (b.idx, b.clone()))
+            .map(|b| (b.idx, ScannedBlock::clone(b)))
             .collect();
         for b in sub.blocks {
             merged.insert(b.idx, b);
@@ -431,21 +440,51 @@ fn page_intact(device: &FlashDevice, mp: &MediaPage) -> bool {
 /// The set of blocks whose media can change without journal evidence:
 /// kind assigned and not yet full, or still holding in-flight demand
 /// programs (which a later power cut could tear).
-fn open_blocks(device: &FlashDevice, images: &[ScannedBlock], now: Cycle) -> BTreeSet<u64> {
+fn open_blocks(device: &FlashDevice, images: &[Arc<ScannedBlock>], now: Cycle) -> BTreeSet<u64> {
     images
         .iter()
         .filter(|b| {
-            let Some(blk) = device.block(b.addr) else {
-                return false;
-            };
-            blk.kind() != BlockKind::Free
-                && (!b.full
-                    || b.entries
-                        .iter()
-                        .any(|(_, m)| m.demand && m.programmed_at > now))
+            device
+                .block(b.addr)
+                .is_some_and(|blk| blk.kind() != BlockKind::Free)
+                && (!b.full || b.demand_until > now)
         })
         .map(|b| b.idx)
         .collect()
+}
+
+/// The media image of every touched block on a live die, ascending —
+/// exactly what [`recovery::scan_device`] would return — without the
+/// full walk: the first capture fills `ck`'s image cache with a scan,
+/// and every later one re-images only the blocks the device marked
+/// dirty since the previous capture. Dead dies are filtered here rather
+/// than in the cache, since a die's death mutates none of its blocks.
+fn capture_images(ck: &mut CheckpointState, device: &mut FlashDevice) -> Vec<Arc<ScannedBlock>> {
+    let dirty = device.drain_dirty_blocks();
+    let reimage = match ck.image_cache {
+        Some(_) => dirty,
+        None => device.touched_blocks(),
+    };
+    let cache = ck.image_cache.get_or_insert_with(BTreeMap::new);
+    for idx in reimage {
+        match recovery::image_media(device, idx) {
+            Some(b) => cache.insert(idx, Arc::new(b)),
+            None => cache.remove(&idx),
+        };
+    }
+    let images: Vec<Arc<ScannedBlock>> = cache
+        .values()
+        .filter(|b| !device.die_is_dead(b.addr.channel, b.addr.die))
+        .cloned()
+        .collect();
+    debug_assert!(
+        images
+            .iter()
+            .map(|b| &**b)
+            .eq(recovery::scan_device(device).blocks.iter()),
+        "incremental checkpoint capture must equal a full scan of the same media"
+    );
+    images
 }
 
 /// Allocates one checkpoint-namespace block through the standard
@@ -579,9 +618,8 @@ pub(crate) fn write_checkpoint(
 ) -> Cycle {
     ck.tick(now);
     let mut t = flush_journal(ck, io, now);
-    let scan = recovery::scan_device(io.device);
-    let open = open_blocks(io.device, &scan.blocks, now);
-    let images = scan.blocks;
+    let images = capture_images(ck, io.device);
+    let open = open_blocks(io.device, &images, now);
     let entries: u64 =
         images.len() as u64 + images.iter().map(|b| b.entries.len() as u64).sum::<u64>();
     let pages = entries.div_ceil(CKPT_ENTRIES_PER_PAGE).max(1);
@@ -700,4 +738,205 @@ fn retire_old_blocks(
         }
     }
     done
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rain::RainConfig;
+    use zng_flash::{FaultConfig, FlashGeometry, OobMeta, RegisterTopology};
+    use zng_types::{FlashAddr, Freq};
+
+    struct Rig {
+        ck: CheckpointState,
+        d: FlashDevice,
+        alloc: BlockAllocator,
+        rain: RainState,
+        t: Cycle,
+    }
+
+    impl Rig {
+        fn new() -> Rig {
+            let d = FlashDevice::zng_config(
+                FlashGeometry::tiny(),
+                Freq::default(),
+                RegisterTopology::NiF,
+            )
+            .unwrap();
+            let alloc = BlockAllocator::new(d.geometry().total_blocks() as u64);
+            let rain = RainState::new(&d, RainConfig::default());
+            let ck = CheckpointState::new(CheckpointConfig {
+                every_ops: 1,
+                journal_cap: 0,
+                pacing: None,
+            });
+            Rig {
+                ck,
+                d,
+                alloc,
+                rain,
+                t: Cycle(0),
+            }
+        }
+
+        fn addr(&self, idx: u64) -> BlockAddr {
+            self.d.geometry().block_for_index(idx).unwrap()
+        }
+
+        fn checkpoint(&mut self) {
+            let mut retired = 0;
+            let mut io = CkptIo {
+                device: &mut self.d,
+                allocator: &mut self.alloc,
+                rain: Some(&mut self.rain),
+                blocks_retired: &mut retired,
+            };
+            self.t = write_checkpoint(&mut self.ck, &mut io, self.t, Vec::new());
+        }
+
+        /// Captures through the image cache and compares with a fresh
+        /// full scan of the same media.
+        fn assert_capture_exact(&mut self, what: &str) {
+            let got = capture_images(&mut self.ck, &mut self.d);
+            let want = recovery::scan_device(&self.d).blocks;
+            assert!(
+                got.iter().map(|b| &**b).eq(want.iter()),
+                "{what}: incremental capture differs from a full scan"
+            );
+        }
+
+        /// Programs `n` demand pages into data block `idx`, advancing
+        /// the clock to the last completion.
+        fn fill(&mut self, idx: u64, n: u64) {
+            let addr = self.addr(idx);
+            self.d.block_mut(addr).unwrap().set_kind(BlockKind::Data);
+            for k in 0..n {
+                self.t = self.d.program(self.t, addr, idx * 100 + k).unwrap().done;
+            }
+        }
+
+        fn clear(&mut self, idx: u64) {
+            let addr = self.addr(idx);
+            let valid: Vec<u32> = self.d.block(addr).unwrap().valid_page_indices().collect();
+            for p in valid {
+                self.d.invalidate(FlashAddr::new(addr, p));
+            }
+        }
+    }
+
+    /// Every media-changing path between two checkpoints must reach the
+    /// next capture: the cache re-images exactly what changed.
+    #[test]
+    fn incremental_capture_tracks_every_media_mutation() {
+        let mut r = Rig::new();
+        // Data blocks far above the allocator's fresh cursor, so the
+        // checkpoint writer never allocates them.
+        for idx in 600..612 {
+            r.fill(idx, 4);
+        }
+        r.assert_capture_exact("first capture (full scan)");
+        r.checkpoint();
+        r.assert_capture_exact("after a checkpoint write");
+
+        // Demand program.
+        r.fill(600, 3);
+        r.assert_capture_exact("demand program");
+
+        // GC migration program.
+        let a = r.addr(601);
+        r.t = r.d.program_migrate(r.t, a, 9_001).unwrap().done;
+        r.assert_capture_exact("program_migrate");
+
+        // OOB record and stamp written outside the program path.
+        let a = r.addr(602);
+        let b = r.d.block_mut(a).unwrap();
+        let p = b.program_next().unwrap();
+        b.record_oob(
+            p,
+            OobMeta {
+                lpn: 77,
+                seq: 1_000_000,
+                tag: BlockKind::Data,
+                programmed_at: Cycle(5),
+                demand: false,
+            },
+        );
+        let p = b.program_next().unwrap();
+        b.set_stamp(p, 78, 1_000_001);
+        r.assert_capture_exact("OOB record/stamp");
+
+        // Silent corruption.
+        r.d.mark_page_corrupt(FlashAddr::new(r.addr(603), 1))
+            .unwrap();
+        r.assert_capture_exact("SDC mark_corrupt");
+        r.checkpoint();
+
+        // Erases, including ones that fail verification.
+        r.clear(604);
+        let a = r.addr(604);
+        r.t = r.d.erase(r.t, a).unwrap().done;
+        r.assert_capture_exact("erase");
+        r.d.set_fault_config(&FaultConfig::end_of_life().with_seed(5));
+        let mut failed = false;
+        for idx in 605..609 {
+            r.clear(idx);
+            let a = r.addr(idx);
+            let rep = r.d.erase(r.t, a).unwrap();
+            r.t = rep.done;
+            failed |= rep.failed;
+        }
+        r.d.set_fault_config(&FaultConfig::none());
+        assert!(failed, "EOL rates must fail at least one of four erases");
+        r.assert_capture_exact("failed erase");
+
+        // Sticky failure flag.
+        let a = r.addr(609);
+        r.d.block_mut(a).unwrap().mark_failed();
+        r.assert_capture_exact("mark_failed");
+        r.checkpoint();
+
+        // RAIN parity claim of an untouched reserved index.
+        assert_eq!(r.rain.classify(&mut r.d, 800).unwrap(), Claim::Parity);
+        r.assert_capture_exact("RAIN parity claim");
+
+        // Power-loss tear: demand programs still in flight at the cut.
+        let a = r.addr(610);
+        let at = r.t;
+        r.d.program(at, a, 4_242).unwrap();
+        // Imaged while in flight, so only the cut itself can mark the
+        // block dirty again.
+        r.assert_capture_exact("in-flight demand program");
+        let torn = r.d.power_loss(at).pages_torn;
+        assert!(torn > 0, "the cut must tear the in-flight program");
+        r.assert_capture_exact("power-loss tear");
+        r.checkpoint();
+        let capture_len = recovery::scan_device(&r.d).blocks.len();
+
+        // Die death: the cached images of its blocks stay, but no capture
+        // may include them.
+        let a = r.addr(609);
+        r.d.fail_die(a.channel, a.die);
+        assert!(recovery::scan_device(&r.d).blocks.len() < capture_len);
+        r.assert_capture_exact("die death");
+        r.checkpoint();
+        r.assert_capture_exact("checkpoint after die death");
+
+        let scan = recovery::scan_device(&r.d);
+        assert!(scan.torn > 0 && scan.corrupt > 0, "mutations reached media");
+    }
+
+    /// The open set reads the image's latest demand-program time: a full
+    /// block stays open exactly while a demand program is in flight.
+    #[test]
+    fn full_block_is_open_while_a_demand_program_is_in_flight() {
+        let mut r = Rig::new();
+        let pages = r.d.geometry().pages_per_block as u64;
+        let start = r.t;
+        r.fill(600, pages);
+        let done = r.t;
+        let images = capture_images(&mut r.ck, &mut r.d);
+        assert!(images[0].full && images[0].demand_until == done);
+        assert!(open_blocks(&r.d, &images, start).contains(&600));
+        assert!(!open_blocks(&r.d, &images, done).contains(&600));
+    }
 }

@@ -82,6 +82,10 @@ pub(crate) struct ScannedBlock {
     pub torn: u32,
     /// Written-but-corrupt pages quarantined in this block.
     pub corrupt: u32,
+    /// Completion time of the latest demand program among `entries`
+    /// (zero when none): the block can still tear at a power cut while
+    /// this lies in the future.
+    pub demand_until: Cycle,
 }
 
 impl ScannedBlock {
@@ -106,8 +110,7 @@ pub(crate) struct Scan {
 /// Scans the OOB area of every block ever touched. Pure inspection: no
 /// media mutation, deterministic (ascending block index).
 pub(crate) fn scan_device(device: &FlashDevice) -> Scan {
-    let total = device.geometry().total_blocks() as u64;
-    scan_blocks(device, 0..total)
+    scan_blocks(device, device.touched_blocks())
 }
 
 /// Reads one block's surviving media state, or `None` when its die is
@@ -119,18 +122,33 @@ pub(crate) fn image_block(device: &FlashDevice, idx: u64) -> Option<ScannedBlock
     if device.die_is_dead(addr.channel, addr.die) {
         return None;
     }
+    image_media(device, idx)
+}
+
+/// [`image_block`] without the dead-die filter: the block's media state
+/// whether or not its die can still be read, or `None` when it was
+/// never touched. Die death changes no block, so a cached image stays
+/// exact across it and the filter applies when the image is used.
+pub(crate) fn image_media(device: &FlashDevice, idx: u64) -> Option<ScannedBlock> {
+    let addr = device.geometry().block_for_index(idx).ok()?;
     let b = device.block(addr)?;
     let programmed = b.programmed_pages();
     let mut entries = Vec::new();
     let mut torn = 0u32;
     let mut corrupt = 0u32;
+    let mut demand_until = Cycle::ZERO;
     for page in 0..programmed {
         match b.oob(page) {
             // A record whose payload checksum fails is quarantined
             // exactly like a torn page: it must never become a
             // winner, or recovery would resurrect corrupted data.
             PageOob::Written(_) if b.is_corrupt(page) => corrupt += 1,
-            PageOob::Written(m) => entries.push((page, m)),
+            PageOob::Written(m) => {
+                if m.demand {
+                    demand_until = demand_until.max(m.programmed_at);
+                }
+                entries.push((page, m));
+            }
             PageOob::Torn => torn += 1,
             PageOob::Blank => {}
         }
@@ -145,6 +163,7 @@ pub(crate) fn image_block(device: &FlashDevice, idx: u64) -> Option<ScannedBlock
         full: b.is_full(),
         torn,
         corrupt,
+        demand_until,
     })
 }
 

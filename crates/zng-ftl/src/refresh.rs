@@ -182,7 +182,7 @@ impl EnduranceState {
     /// Whether the device wear spread warrants a static-levelling
     /// migration this step.
     pub(crate) fn wants_levelling(&self, device: &FlashDevice) -> bool {
-        self.policy.wear_spread > 0.0 && device.endurance().wear_spread() > self.policy.wear_spread
+        self.policy.wear_spread > 0.0 && device.wear_spread() > self.policy.wear_spread
     }
 
     /// Charges one refresh to the counters.

@@ -233,6 +233,14 @@ pub struct PerfSummary {
     pub maintenance_events: u64,
     /// Events for warps that had already retired (no-op wake-ups).
     pub skipped_events: u64,
+    /// Host seconds inside the checkpoint writer's steps.
+    pub maint_checkpoint_s: f64,
+    /// Host seconds inside refresh / static-levelling steps.
+    pub maint_refresh_s: f64,
+    /// Host seconds inside patrol-scrub steps.
+    pub maint_scrub_s: f64,
+    /// Host seconds inside health-monitor ticks.
+    pub maint_health_s: f64,
 }
 
 /// The outcome of one simulation run.
@@ -642,6 +650,10 @@ impl RunResult {
             fields.push(("perf_blocked_events", Value::from(p.blocked_events)));
             fields.push(("perf_maintenance_events", Value::from(p.maintenance_events)));
             fields.push(("perf_skipped_events", Value::from(p.skipped_events)));
+            fields.push(("perf_maint_checkpoint_s", Value::from(p.maint_checkpoint_s)));
+            fields.push(("perf_maint_refresh_s", Value::from(p.maint_refresh_s)));
+            fields.push(("perf_maint_scrub_s", Value::from(p.maint_scrub_s)));
+            fields.push(("perf_maint_health_s", Value::from(p.maint_health_s)));
         }
         Value::object(fields)
     }
@@ -907,6 +919,8 @@ mod tests {
             blocked_events: 50,
             maintenance_events: 10,
             skipped_events: 40,
+            maint_checkpoint_s: 0.25,
+            ..PerfSummary::default()
         });
         let on = r.to_json_value().to_string();
         assert!(on.contains("\"perf_events\":1000"));
@@ -914,6 +928,8 @@ mod tests {
         assert!(on.contains("\"perf_peak_queue_depth\":64"));
         assert!(on.contains("\"perf_compute_events\":600"));
         assert!(on.contains("\"perf_skipped_events\":40"));
+        assert!(on.contains("\"perf_maint_checkpoint_s\":0.25"));
+        assert!(on.contains("\"perf_maint_health_s\":0"));
     }
 
     #[test]

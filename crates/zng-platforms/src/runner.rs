@@ -285,6 +285,11 @@ impl Simulation {
         let mut perf_blocked: u64 = 0;
         let mut perf_maint: u64 = 0;
         let mut perf_skipped: u64 = 0;
+        // Host seconds per maintenance subsystem, timed under `--perf`
+        // only.
+        let (mut ckpt_s, mut refresh_s, mut scrub_s, mut health_s) = (0.0, 0.0, 0.0, 0.0);
+        let perf_on = self.perf_on;
+        let lap = move || perf_on.then(Instant::now);
 
         // Same-cycle batch drain: pull every event sharing the front
         // timestamp with one `pop_at` into a reusable scratch buffer
@@ -344,7 +349,9 @@ impl Simulation {
                 // stall is capped by the pacing budget when one is set.
                 if self.patrol.poll(requests) {
                     perf_maint += 1;
+                    let t0 = lap();
                     let horizon = self.backend.scrub_step(now)?;
+                    scrub_s += since(t0);
                     self.block_all_apps(mix, horizon);
                 }
                 // Background refresh: one endurance-scheduler step per
@@ -354,7 +361,9 @@ impl Simulation {
                 // by the pacing budget when one is set.
                 if self.refresh_ticker.poll(requests) {
                     perf_maint += 1;
+                    let t0 = lap();
                     let horizon = self.backend.refresh_step(now)?;
+                    refresh_s += since(t0);
                     self.block_all_apps(mix, horizon);
                 }
                 // Background checkpoint: one mapping snapshot per cadence
@@ -363,7 +372,9 @@ impl Simulation {
                 // capped by the pacing budget when one is set.
                 if self.checkpoint_ticker.poll(requests) {
                     perf_maint += 1;
+                    let t0 = lap();
                     let horizon = self.backend.checkpoint_step(now);
+                    ckpt_s += since(t0);
                     self.block_all_apps(mix, horizon);
                 }
                 // Predictive health: one monitor tick per cadence boundary —
@@ -374,7 +385,9 @@ impl Simulation {
                 // budget when one is set.
                 if self.health_ticker.poll(requests) {
                     perf_maint += 1;
+                    let t0 = lap();
                     let horizon = self.backend.health_step(now)?;
+                    health_s += since(t0);
                     self.block_all_apps(mix, horizon);
                 }
                 if warps[idx].is_done() {
@@ -663,6 +676,10 @@ impl Simulation {
                 blocked_events: perf_blocked,
                 maintenance_events: perf_maint,
                 skipped_events: perf_skipped,
+                maint_checkpoint_s: ckpt_s,
+                maint_refresh_s: refresh_s,
+                maint_scrub_s: scrub_s,
+                maint_health_s: health_s,
             }
         });
         let health = self.health_on.then(|| {
@@ -1120,6 +1137,11 @@ impl Simulation {
     pub fn backend(&self) -> &Backend {
         &self.backend
     }
+}
+
+/// Host seconds since a `--perf` lap started (zero when untimed).
+fn since(t0: Option<Instant>) -> f64 {
+    t0.map_or(0.0, |t| t.elapsed().as_secs_f64())
 }
 
 #[cfg(test)]

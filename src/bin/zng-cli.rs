@@ -937,6 +937,13 @@ fn print_result(r: &RunResult) {
                 p.blocked_events, p.maintenance_events, p.skipped_events
             ),
         ]);
+        t.row(vec![
+            "maint s ckpt/refresh/scrub/health".into(),
+            format!(
+                "{:.3}/{:.3}/{:.3}/{:.3}",
+                p.maint_checkpoint_s, p.maint_refresh_s, p.maint_scrub_s, p.maint_health_s
+            ),
+        ]);
     }
     if let Some(h) = &r.health {
         t.row(vec!["health ticks".into(), h.health_ticks.to_string()]);
