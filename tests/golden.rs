@@ -27,6 +27,14 @@
 //!     --footprint 128 --json --scrub-every 25 --integrity \
 //!     --refresh-every 25 --checkpoint-every 25 --health 25 \
 //!     --crash-at 100 > tests/golden/run_reliable.json
+//! for p in zng hybridgpu hetero; do
+//!   ./target/release/zng-cli run -p $p -w betw --warps 8 --ops 40 \
+//!       --footprint 128 --json --faults nominal --scrub-every 25 \
+//!       --scrub-threshold 1 --integrity --refresh-every 25 \
+//!       --checkpoint-every 25 --health 25 \
+//!       --degrading-die 1:0:0:10000000 --crash-at 100 \
+//!       > tests/golden/run_degraded_$p.json
+//! done
 //! ```
 
 use std::path::Path;
@@ -174,5 +182,66 @@ fn reliable_maintenance_run_matches_golden() {
         &got,
         &golden("run_reliable.json"),
         "reliable maintenance run",
+    );
+}
+
+/// Runs the degraded-media maintenance mix on `platform`: nominal
+/// faults, an aggressive scrub, integrity, refresh/levelling,
+/// checkpoints, health monitoring with a die that degrades to death,
+/// then a power cut. The trailing `-p` overrides `RUN_ARGS`'s (the CLI
+/// keeps the last one).
+fn degraded_run(platform: &str) -> Vec<u8> {
+    run_cli(&[
+        "-p",
+        platform,
+        "--faults",
+        "nominal",
+        "--scrub-every",
+        "25",
+        "--scrub-threshold",
+        "1",
+        "--integrity",
+        "--refresh-every",
+        "25",
+        "--checkpoint-every",
+        "25",
+        "--health",
+        "25",
+        "--degrading-die",
+        "1:0:0:10000000",
+        "--crash-at",
+        "100",
+    ])
+}
+
+/// Pins the ZnG FTL's scrub rewrites, die fencing and rebuild,
+/// levelling, checkpoints and fast-path recovery on degrading media.
+#[test]
+fn degraded_zng_run_matches_golden() {
+    let got = degraded_run("zng");
+    assert_bytes_match(&got, &golden("run_degraded_zng.json"), "degraded zng run");
+}
+
+/// Pins the same maintenance paths through the page-map FTL behind the
+/// SSD module (hybridgpu).
+#[test]
+fn degraded_hybridgpu_run_matches_golden() {
+    let got = degraded_run("hybridgpu");
+    assert_bytes_match(
+        &got,
+        &golden("run_degraded_hybridgpu.json"),
+        "degraded hybridgpu run",
+    );
+}
+
+/// Pins the same maintenance paths through the page-map FTL behind the
+/// NVMe SSD (hetero).
+#[test]
+fn degraded_hetero_run_matches_golden() {
+    let got = degraded_run("hetero");
+    assert_bytes_match(
+        &got,
+        &golden("run_degraded_hetero.json"),
+        "degraded hetero run",
     );
 }
