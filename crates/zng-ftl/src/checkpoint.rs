@@ -1,7 +1,7 @@
 //! Mapping checkpoints and the delta journal: bounded-time crash
 //! recovery.
 //!
-//! The full-device OOB scan ([`crate::recovery`]) rebuilds every mapping
+//! The full-device OOB scan ([`crate::Mapping::recover`]) rebuilds every mapping
 //! structure from media truth, but its cost grows linearly with device
 //! size. This module bounds recovery time the way zoned flash caches do:
 //! a background writer periodically serialises the mapping state into
@@ -49,9 +49,9 @@ use std::sync::Arc;
 use zng_flash::{BlockKind, FlashDevice, PageOob};
 use zng_types::{BlockAddr, Cycle};
 
-use crate::allocator::BlockAllocator;
+use crate::maintenance::FtlServices;
 use crate::pacing::GcPacing;
-use crate::rain::{Claim, RainState};
+use crate::rain::Claim;
 use crate::recovery::{self, Scan, ScannedBlock, OOB_SCAN_CYCLES_PER_PAGE};
 
 /// Synthetic OOB key namespace for checkpoint and journal pages, outside
@@ -188,21 +188,11 @@ pub(crate) struct FastScan {
     pub cycles_saved: Cycle,
 }
 
-/// Borrowed FTL internals the checkpoint writer programs through: the
-/// same allocation chokepoint discipline (RAIN parity claims, dead-die
-/// fencing) as data and log blocks.
-pub(crate) struct CkptIo<'a> {
-    pub device: &'a mut FlashDevice,
-    pub allocator: &'a mut BlockAllocator,
-    pub rain: Option<&'a mut RainState>,
-    pub blocks_retired: &'a mut u64,
-}
-
 /// Checkpoint writer + journal state, owned by an FTL.
 #[derive(Debug, Clone)]
 pub(crate) struct CheckpointState {
-    config: CheckpointConfig,
-    counters: CheckpointCounters,
+    pub(crate) config: CheckpointConfig,
+    pub(crate) counters: CheckpointCounters,
     /// Generation stamp of the current epoch (0 = none committed yet).
     generation: u64,
     /// Monotonic key suffix within [`CHECKPOINT_KEY_BASE`].
@@ -257,18 +247,6 @@ impl CheckpointState {
             last_now: Cycle::ZERO,
             image_cache: None,
         }
-    }
-
-    pub(crate) fn config(&self) -> CheckpointConfig {
-        self.config
-    }
-
-    pub(crate) fn counters(&self) -> CheckpointCounters {
-        self.counters
-    }
-
-    pub(crate) fn bump_overrun(&mut self) {
-        self.counters.overruns += 1;
     }
 
     /// Advances the journal clock (flushes issued at unknown call sites
@@ -491,11 +469,15 @@ fn capture_images(ck: &mut CheckpointState, device: &mut FlashDevice) -> Vec<Arc
 /// chokepoint discipline: parity-reserved indices are claimed (and
 /// journalled touched), dead-die indices fenced. `None` on exhaustion —
 /// the epoch fails, foreground traffic is never killed by the writer.
-fn alloc_ckpt_block(ck: &mut CheckpointState, io: &mut CkptIo<'_>) -> Option<(BlockAddr, u64)> {
+fn alloc_ckpt_block(
+    ck: &mut CheckpointState,
+    svc: &mut FtlServices,
+    device: &mut FlashDevice,
+) -> Option<(BlockAddr, u64)> {
     let idx = loop {
-        let idx = io.allocator.allocate().ok()?;
-        match io.rain.as_deref_mut() {
-            Some(rain) => match rain.classify(io.device, idx).ok()? {
+        let idx = svc.allocator.allocate().ok()?;
+        match svc.rain.as_mut() {
+            Some(rain) => match rain.classify(device, idx).ok()? {
                 Claim::Keep => break idx,
                 Claim::Parity => {
                     // The claim postdates the epoch capture: the parity
@@ -503,16 +485,13 @@ fn alloc_ckpt_block(ck: &mut CheckpointState, io: &mut CkptIo<'_>) -> Option<(Bl
                     ck.note_touched(idx);
                     ck.step_touched.push(idx);
                 }
-                Claim::Fenced => io.allocator.retire(idx),
+                Claim::Fenced => svc.allocator.retire(idx),
             },
             None => break idx,
         }
     };
-    let addr = io.device.geometry().block_for_index(idx).ok()?;
-    io.device
-        .block_mut(addr)
-        .ok()?
-        .set_kind(BlockKind::Checkpoint);
+    let addr = device.geometry().block_for_index(idx).ok()?;
+    device.block_mut(addr).ok()?.set_kind(BlockKind::Checkpoint);
     ck.epoch_blocks.push(idx);
     ck.cur_block = Some((addr, idx));
     Some((addr, idx))
@@ -529,20 +508,20 @@ fn alloc_ckpt_block(ck: &mut CheckpointState, io: &mut CkptIo<'_>) -> Option<(Bl
 /// corruption, dead dies, journal overflow and aborted epochs instead.
 fn program_page(
     ck: &mut CheckpointState,
-    io: &mut CkptIo<'_>,
+    svc: &mut FtlServices,
+    device: &mut FlashDevice,
     mut t: Cycle,
 ) -> Option<(MediaPage, Cycle)> {
     loop {
         let cur = match ck.cur_block {
             Some((addr, idx))
-                if io
-                    .device
+                if device
                     .block(addr)
                     .is_some_and(|b| !b.is_full() && !b.is_failed()) =>
             {
                 (addr, idx)
             }
-            _ => match alloc_ckpt_block(ck, io) {
+            _ => match alloc_ckpt_block(ck, svc, device) {
                 Some(c) => c,
                 None => {
                     ck.fail_epoch();
@@ -551,7 +530,7 @@ fn program_page(
             },
         };
         let key = ck.next_key();
-        match io.device.program_migrate(t, cur.0, key) {
+        match device.program_migrate(t, cur.0, key) {
             Ok(rep) if !rep.failed => {
                 return Some((
                     MediaPage {
@@ -565,8 +544,8 @@ fn program_page(
             Ok(rep) => {
                 // Burned mid-append: retire it and roll to another block
                 // (it stays in `epoch_blocks`, so recovery re-scans it).
-                io.allocator.retire(cur.1);
-                *io.blocks_retired += 1;
+                svc.allocator.retire(cur.1);
+                svc.blocks_retired += 1;
                 ck.cur_block = None;
                 t = rep.done;
             }
@@ -581,12 +560,17 @@ fn program_page(
 /// Flushes pending journal records to media, one page per
 /// [`JOURNAL_RECORDS_PER_PAGE`] batch, until no critical record and no
 /// full batch remains. Returns when the last flush completes.
-pub(crate) fn flush_journal(ck: &mut CheckpointState, io: &mut CkptIo<'_>, now: Cycle) -> Cycle {
+pub(crate) fn flush_journal(
+    ck: &mut CheckpointState,
+    svc: &mut FtlServices,
+    device: &mut FlashDevice,
+    now: Cycle,
+) -> Cycle {
     ck.tick(now);
     let mut t = ck.last_now;
     while ck.flush_ready() {
         let end = (ck.flushed + JOURNAL_RECORDS_PER_PAGE).min(ck.journal.len());
-        match program_page(ck, io, t) {
+        match program_page(ck, svc, device, t) {
             Some((mp, done)) => {
                 ck.journal_pages.push((mp, end));
                 ck.flushed = end;
@@ -607,30 +591,30 @@ pub(crate) fn flush_journal(ck: &mut CheckpointState, io: &mut CkptIo<'_>, now: 
 /// previous epoch in force. Returns when the write completes (the caller
 /// applies the pacing cap).
 ///
-/// `stale` is the stale-checkpoint-block backlog a recovery deferred
-/// (see [`crate::recovery`]): those blocks retire alongside the
-/// superseded epoch, off the restore critical path.
+/// The stale-checkpoint-block backlog a recovery deferred (see
+/// [`crate::recovery`]) retires alongside the superseded epoch, off the
+/// restore critical path.
 pub(crate) fn write_checkpoint(
     ck: &mut CheckpointState,
-    io: &mut CkptIo<'_>,
+    svc: &mut FtlServices,
+    device: &mut FlashDevice,
     now: Cycle,
-    stale: Vec<u64>,
 ) -> Cycle {
     ck.tick(now);
-    let mut t = flush_journal(ck, io, now);
-    let images = capture_images(ck, io.device);
-    let open = open_blocks(io.device, &images, now);
+    let mut t = flush_journal(ck, svc, device, now);
+    let images = capture_images(ck, device);
+    let open = open_blocks(device, &images, now);
     let entries: u64 =
         images.len() as u64 + images.iter().map(|b| b.entries.len() as u64).sum::<u64>();
     let pages = entries.div_ceil(CKPT_ENTRIES_PER_PAGE).max(1);
     let mut retiring = std::mem::take(&mut ck.epoch_blocks);
-    retiring.extend(stale);
+    retiring.append(&mut svc.stale_ckpt);
     ck.cur_block = None;
     ck.valid = true;
     let mut payload = Vec::with_capacity(pages as usize);
     let mut ok = true;
     for _ in 0..pages {
-        match program_page(ck, io, t) {
+        match program_page(ck, svc, device, t) {
             Some((mp, done)) => {
                 payload.push(mp);
                 t = done;
@@ -641,7 +625,11 @@ pub(crate) fn write_checkpoint(
             }
         }
     }
-    let commit = if ok { program_page(ck, io, t) } else { None };
+    let commit = if ok {
+        program_page(ck, svc, device, t)
+    } else {
+        None
+    };
     match commit {
         Some((mp, done)) => {
             t = done;
@@ -664,15 +652,15 @@ pub(crate) fn write_checkpoint(
             for idx in std::mem::take(&mut ck.step_touched) {
                 ck.note_touched(idx);
             }
-            t = retire_old_blocks(ck, io, t, retiring);
-            t = flush_journal(ck, io, t);
+            t = retire_old_blocks(ck, svc, device, t, retiring);
+            t = flush_journal(ck, svc, device, t);
         }
         None => {
             // The previous epoch stays current; its fast path must
             // re-scan both its own blocks and the partial new ones.
             ck.epoch_blocks.extend(retiring);
             ck.step_touched.clear();
-            t = flush_journal(ck, io, t);
+            t = flush_journal(ck, svc, device, t);
         }
     }
     ck.tick(t);
@@ -688,52 +676,52 @@ pub(crate) fn write_checkpoint(
 /// as a live data block (re-erasing it later would destroy data).
 fn retire_old_blocks(
     ck: &mut CheckpointState,
-    io: &mut CkptIo<'_>,
+    svc: &mut FtlServices,
+    device: &mut FlashDevice,
     start: Cycle,
     retiring: Vec<u64>,
 ) -> Cycle {
     let mut done = start;
     for idx in retiring {
         ck.note_touched(idx);
-        let Ok(addr) = io.device.geometry().block_for_index(idx) else {
+        let Ok(addr) = device.geometry().block_for_index(idx) else {
             continue;
         };
-        if let Some(b) = io.device.block(addr) {
+        if let Some(b) = device.block(addr) {
             // Burned mid-append: already retired (and charged) when the
             // program failed — never release it back into the pool.
             if b.is_failed() {
                 continue;
             }
         }
-        if io.device.die_is_dead(addr.channel, addr.die) {
-            io.allocator.retire(idx);
-            if let Some(rain) = io.rain.as_deref_mut() {
+        if device.die_is_dead(addr.channel, addr.die) {
+            svc.allocator.retire(idx);
+            if let Some(rain) = svc.rain.as_mut() {
                 rain.fenced_blocks += 1;
             }
             continue;
         }
-        let valid: Vec<u32> = io
-            .device
+        let valid: Vec<u32> = device
             .block(addr)
             .map(|b| b.valid_page_indices().collect())
             .unwrap_or_default();
         for page in valid {
-            io.device.invalidate(zng_types::FlashAddr::new(addr, page));
+            device.invalidate(zng_types::FlashAddr::new(addr, page));
         }
-        match io.device.erase(start, addr) {
+        match device.erase(start, addr) {
             Ok(rep) => {
                 done = done.max(rep.done);
                 if rep.failed {
-                    io.allocator.retire(idx);
-                    *io.blocks_retired += 1;
+                    svc.allocator.retire(idx);
+                    svc.blocks_retired += 1;
                 } else {
-                    let wear = io.device.block(addr).map(|b| b.erase_count()).unwrap_or(0);
-                    io.allocator.release(idx, wear);
+                    let wear = device.block(addr).map(|b| b.erase_count()).unwrap_or(0);
+                    svc.allocator.release(idx, wear);
                 }
             }
             Err(_) => {
-                io.allocator.retire(idx);
-                *io.blocks_retired += 1;
+                svc.allocator.retire(idx);
+                svc.blocks_retired += 1;
             }
         }
     }
@@ -743,15 +731,15 @@ fn retire_old_blocks(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rain::RainConfig;
+    use crate::allocator::BlockAllocator;
+    use crate::rain::{RainConfig, RainState};
     use zng_flash::{FaultConfig, FlashGeometry, OobMeta, RegisterTopology};
     use zng_types::{FlashAddr, Freq};
 
     struct Rig {
         ck: CheckpointState,
         d: FlashDevice,
-        alloc: BlockAllocator,
-        rain: RainState,
+        svc: FtlServices,
         t: Cycle,
     }
 
@@ -763,8 +751,8 @@ mod tests {
                 RegisterTopology::NiF,
             )
             .unwrap();
-            let alloc = BlockAllocator::new(d.geometry().total_blocks() as u64);
-            let rain = RainState::new(&d, RainConfig::default());
+            let mut svc = FtlServices::new(BlockAllocator::new(d.geometry().total_blocks() as u64));
+            svc.rain = Some(RainState::new(&d, RainConfig::default()));
             let ck = CheckpointState::new(CheckpointConfig {
                 every_ops: 1,
                 journal_cap: 0,
@@ -773,8 +761,7 @@ mod tests {
             Rig {
                 ck,
                 d,
-                alloc,
-                rain,
+                svc,
                 t: Cycle(0),
             }
         }
@@ -784,14 +771,7 @@ mod tests {
         }
 
         fn checkpoint(&mut self) {
-            let mut retired = 0;
-            let mut io = CkptIo {
-                device: &mut self.d,
-                allocator: &mut self.alloc,
-                rain: Some(&mut self.rain),
-                blocks_retired: &mut retired,
-            };
-            self.t = write_checkpoint(&mut self.ck, &mut io, self.t, Vec::new());
+            self.t = write_checkpoint(&mut self.ck, &mut self.svc, &mut self.d, self.t);
         }
 
         /// Captures through the image cache and compares with a fresh
@@ -896,7 +876,15 @@ mod tests {
         r.checkpoint();
 
         // RAIN parity claim of an untouched reserved index.
-        assert_eq!(r.rain.classify(&mut r.d, 800).unwrap(), Claim::Parity);
+        assert_eq!(
+            r.svc
+                .rain
+                .as_mut()
+                .unwrap()
+                .classify(&mut r.d, 800)
+                .unwrap(),
+            Claim::Parity
+        );
         r.assert_capture_exact("RAIN parity claim");
 
         // Power-loss tear: demand programs still in flight at the cut.

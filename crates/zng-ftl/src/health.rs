@@ -285,13 +285,10 @@ impl HealthState {
     /// Caps a step's foreground stall at the pacing deadline, counting
     /// an overrun when the media work ran longer.
     pub(crate) fn pace(&mut self, started: Cycle, done: Cycle) -> Cycle {
-        match self.policy.pacing {
-            Some(p) if done > p.deadline(started) => {
-                self.counters.evacuation_overruns += 1;
-                p.deadline(started)
-            }
-            _ => done,
-        }
+        let overruns = &mut self.counters.evacuation_overruns;
+        self.policy
+            .pacing
+            .map_or(done, |p| p.cap(started, done, overruns))
     }
 
     /// Clears the parked-block ledger after a crash recovery: the

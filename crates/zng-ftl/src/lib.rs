@@ -12,6 +12,10 @@
 //!   **LPMT**s living in programmable row decoders, an **LBMT** mapping
 //!   data-block groups to over-provisioned log blocks, and a GPU
 //!   helper-thread **garbage collector** with wear levelling.
+//!
+//! Both differ only in mapping policy: each implements [`Mapping`] over
+//! the shared [`FtlServices`], which supplies scrub, refresh, health,
+//! checkpointing and crash recovery once for both.
 
 /// Backstop on write re-drives after repeated program failures. Failed
 /// programs burn slots and eventually exhaust the free pool into
@@ -29,10 +33,11 @@ pub mod densemap;
 pub mod engine;
 pub mod health;
 pub mod integrity;
+pub mod maintenance;
 pub mod pacing;
 pub mod pagemap;
 pub mod rain;
-pub mod recovery;
+mod recovery;
 pub mod refresh;
 pub mod zngftl;
 
@@ -46,6 +51,7 @@ pub use checkpoint::{
 pub use engine::SsdEngine;
 pub use health::{HealthCounters, HealthPolicy, QUARANTINE_EXTRA_READ_ATTEMPTS, REHAB_CLEAN_TICKS};
 pub use integrity::IntegrityCounters;
+pub use maintenance::{FtlServices, Mapping};
 pub use pacing::GcPacing;
 pub use pagemap::PageMapFtl;
 pub use rain::{RainConfig, RainCounters, RainState, RAIN_XOR_CYCLES};

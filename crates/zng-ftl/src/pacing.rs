@@ -32,6 +32,19 @@ impl GcPacing {
     pub fn deadline(&self, started: Cycle) -> Cycle {
         started + self.stall_budget
     }
+
+    /// Caps a step that started at `started` and finished its media work
+    /// at `done` to the blocking deadline, counting an overrun in
+    /// `overruns` when the work ran past it. Finishing exactly at the
+    /// deadline is not an overrun.
+    pub fn cap(&self, started: Cycle, done: Cycle, overruns: &mut u64) -> Cycle {
+        let deadline = self.deadline(started);
+        if done > deadline {
+            *overruns += 1;
+            return deadline;
+        }
+        done
+    }
 }
 
 #[cfg(test)]
@@ -45,5 +58,20 @@ mod tests {
             credit_writes: 4,
         };
         assert_eq!(p.deadline(Cycle(500)), Cycle(10_500));
+    }
+
+    #[test]
+    fn cap_counts_only_work_past_the_deadline() {
+        let p = GcPacing {
+            stall_budget: Cycle(1_000),
+            credit_writes: 4,
+        };
+        let mut overruns = 0;
+        assert_eq!(p.cap(Cycle(100), Cycle(600), &mut overruns), Cycle(600));
+        assert_eq!(overruns, 0, "below the deadline");
+        assert_eq!(p.cap(Cycle(100), Cycle(1_100), &mut overruns), Cycle(1_100));
+        assert_eq!(overruns, 0, "exactly at the deadline is not an overrun");
+        assert_eq!(p.cap(Cycle(100), Cycle(1_101), &mut overruns), Cycle(1_100));
+        assert_eq!(overruns, 1, "one cycle past the deadline");
     }
 }

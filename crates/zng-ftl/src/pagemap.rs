@@ -4,19 +4,19 @@
 //! active blocks (page-striped for parallelism); greedy garbage collection
 //! migrates the least-valid sealed block when free space runs low. The
 //! mapping table lives in SSD DRAM and is *consulted by the SSD engine* —
-//! the engine cost is charged by the SSD module, not here.
+//! the engine cost is charged by the SSD module, not here. The
+//! maintenance policies come from the shared [`Mapping`] core.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use fxhash::FxHashMap;
 use zng_flash::{BlockKind, FlashDevice};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
 use crate::allocator::BlockAllocator;
-use crate::health::{HealthCounters, HealthPolicy, HealthState};
-use crate::integrity::IntegrityCounters;
-use crate::rain::{Claim, RainConfig, RainState};
-use crate::refresh::{EnduranceCounters, EnduranceState, RefreshPolicy};
+use crate::maintenance::{verify_read, FtlServices, Mapping};
+use crate::recovery::Scan;
+use crate::refresh::RefreshReason;
 use crate::MAX_WRITE_REDRIVES;
 
 /// A page-level FTL with greedy GC and wear-aware allocation.
@@ -33,7 +33,7 @@ pub struct PageMapFtl {
     /// Index-order iteration is ascending-block order, so walks are
     /// deterministic without sorting.
     rmap: Vec<Option<Vec<Option<u64>>>>,
-    allocator: BlockAllocator,
+    svc: FtlServices,
     /// One active write block per channel (page striping).
     active: Vec<Option<BlockAddr>>,
     cursor: usize,
@@ -46,32 +46,6 @@ pub struct PageMapFtl {
     gc_active: bool,
     gcs: u64,
     pages_migrated: u64,
-    /// Blocks permanently retired after failed programs/erases.
-    blocks_retired: u64,
-    /// Writes re-driven to a new block after a program failure.
-    write_redrives: u64,
-    /// Opt-in RAIN redundancy: `None` (the default) preserves baseline
-    /// behaviour bit-for-bit.
-    rain: Option<RainState>,
-    /// End-to-end payload verification on host-facing reads; off by
-    /// default (bit-for-bit baseline).
-    integrity: bool,
-    icounters: IntegrityCounters,
-    /// Endurance management (refresh scheduler, static wear leveler,
-    /// graceful end-of-life degradation); `None` (the default) preserves
-    /// baseline behaviour bit-for-bit, including the hard
-    /// [`Error::DeviceWornOut`] cliff.
-    endurance: Option<EnduranceState>,
-    /// Mapping checkpoints + delta journal for bounded-time recovery;
-    /// `None` (the default) preserves baseline behaviour bit-for-bit.
-    checkpoint: Option<crate::checkpoint::CheckpointState>,
-    /// Stale checkpoint blocks a recovery deferred; the next checkpoint
-    /// write erases them off the restore critical path.
-    stale_ckpt: Vec<u64>,
-    /// Predictive health monitor (suspect-die quarantine + pre-emptive
-    /// evacuation); `None` (the default) preserves baseline behaviour
-    /// bit-for-bit.
-    health: Option<HealthState>,
 }
 
 impl PageMapFtl {
@@ -82,7 +56,7 @@ impl PageMapFtl {
         PageMapFtl {
             map: FxHashMap::default(),
             rmap: vec![None; total as usize],
-            allocator: BlockAllocator::new(total),
+            svc: FtlServices::new(BlockAllocator::new(total)),
             active: vec![None; g.channels],
             cursor: 0,
             sealed: Vec::new(),
@@ -90,170 +64,7 @@ impl PageMapFtl {
             gc_active: false,
             gcs: 0,
             pages_migrated: 0,
-            blocks_retired: 0,
-            write_redrives: 0,
-            rain: None,
-            integrity: false,
-            icounters: IntegrityCounters::default(),
-            endurance: None,
-            checkpoint: None,
-            stale_ckpt: Vec::new(),
-            health: None,
         }
-    }
-
-    /// Installs (or clears) the predictive health policy: per-die scoring,
-    /// suspect quarantine, pre-emptive evacuation and rehabilitation
-    /// activate together. `None` keeps the baseline bit-for-bit.
-    pub fn set_health(&mut self, policy: Option<HealthPolicy>) {
-        self.health = policy.map(HealthState::new);
-    }
-
-    /// Whether predictive health monitoring is enabled.
-    pub fn health_enabled(&self) -> bool {
-        self.health.is_some()
-    }
-
-    /// Event counters of the health subsystem, when enabled.
-    pub fn health_counters(&self) -> Option<HealthCounters> {
-        self.health.as_ref().map(|h| h.counters)
-    }
-
-    /// The currently quarantined dies, sorted; empty when health is off.
-    pub fn quarantined_dies(&self) -> Vec<(u16, u16)> {
-        self.health
-            .as_ref()
-            .map(|h| h.quarantined())
-            .unwrap_or_default()
-    }
-
-    /// Installs (or clears) the endurance policy: the refresh scheduler,
-    /// the static wear leveler and graceful end-of-life capacity
-    /// degradation activate together. `None` keeps the baseline
-    /// bit-for-bit, including the hard [`Error::DeviceWornOut`] cliff.
-    pub fn set_endurance(&mut self, policy: Option<RefreshPolicy>) {
-        self.endurance = policy.map(EnduranceState::new);
-    }
-
-    /// Whether endurance management is enabled.
-    pub fn endurance_enabled(&self) -> bool {
-        self.endurance.is_some()
-    }
-
-    /// Event counters of the endurance subsystem, when enabled.
-    pub fn endurance_counters(&self) -> Option<EnduranceCounters> {
-        self.endurance.as_ref().map(|s| s.counters)
-    }
-
-    /// Enables (or disables) RAIN redundancy. Enable before the first
-    /// write: stripes only protect pages programmed while redundancy is
-    /// on.
-    pub fn set_redundancy(&mut self, device: &FlashDevice, config: Option<RainConfig>) {
-        self.rain = config.map(|c| RainState::new(device, c));
-    }
-
-    /// The redundancy state, when enabled.
-    pub fn redundancy(&self) -> Option<&RainState> {
-        self.rain.as_ref()
-    }
-
-    /// Enables (or disables) end-to-end payload verification: every
-    /// host-facing read checks the page's OOB checksum and escalates on a
-    /// mismatch (re-read → stripe reconstruction → fail loudly). Off by
-    /// default, preserving baseline behaviour bit-for-bit.
-    pub fn set_integrity(&mut self, enabled: bool) {
-        self.integrity = enabled;
-    }
-
-    /// Whether end-to-end payload verification is enabled.
-    pub fn integrity_enabled(&self) -> bool {
-        self.integrity
-    }
-
-    /// Event counters of the integrity layer.
-    pub fn integrity_counters(&self) -> IntegrityCounters {
-        self.icounters
-    }
-
-    /// Installs (or clears) mapping checkpoints + the delta journal.
-    /// `None` (or a disabled config) keeps the baseline bit-for-bit:
-    /// no checkpoint blocks are allocated and recovery always runs the
-    /// full OOB scan.
-    pub fn set_checkpointing(&mut self, config: Option<crate::checkpoint::CheckpointConfig>) {
-        self.checkpoint = config
-            .filter(|c| c.enabled())
-            .map(crate::checkpoint::CheckpointState::new);
-    }
-
-    /// Whether checkpointing is enabled.
-    pub fn checkpoint_enabled(&self) -> bool {
-        self.checkpoint.is_some()
-    }
-
-    /// Event counters of the checkpoint subsystem, when enabled.
-    pub fn checkpoint_counters(&self) -> Option<crate::checkpoint::CheckpointCounters> {
-        self.checkpoint.as_ref().map(|ck| ck.counters())
-    }
-
-    /// Flushes pending journal records at the end of a mutating entry
-    /// point, so every critical (touched-block) record is on media before
-    /// the operation acknowledges. A no-op without checkpointing or with
-    /// nothing flush-worthy pending.
-    fn ckpt_sync(&mut self, now: Cycle, device: &mut FlashDevice) {
-        let Some(mut ck) = self.checkpoint.take() else {
-            return;
-        };
-        if ck.flush_ready() {
-            let mut io = crate::checkpoint::CkptIo {
-                device,
-                allocator: &mut self.allocator,
-                rain: self.rain.as_mut(),
-                blocks_retired: &mut self.blocks_retired,
-            };
-            crate::checkpoint::flush_journal(&mut ck, &mut io, now);
-        } else {
-            ck.tick(now);
-        }
-        self.checkpoint = Some(ck);
-    }
-
-    /// One background checkpoint write, run by the SSD engine between
-    /// demand requests: flush the journal tail, serialise the mapping
-    /// image into checkpoint blocks, commit, and erase the superseded
-    /// epoch. Media failures abort the write (the previous epoch stays in
-    /// force) rather than surfacing — the checkpoint is an accelerator,
-    /// never a correctness dependency. Returns when the foreground may
-    /// resume, capped by the configured pacing budget.
-    pub fn checkpoint_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Cycle {
-        let Some(mut ck) = self.checkpoint.take() else {
-            return now;
-        };
-        let done = {
-            let mut io = crate::checkpoint::CkptIo {
-                device,
-                allocator: &mut self.allocator,
-                rain: self.rain.as_mut(),
-                blocks_retired: &mut self.blocks_retired,
-            };
-            crate::checkpoint::write_checkpoint(
-                &mut ck,
-                &mut io,
-                now,
-                std::mem::take(&mut self.stale_ckpt),
-            )
-        };
-        let resumed = match ck.config().pacing {
-            Some(p) => {
-                let deadline = p.deadline(now);
-                if done > deadline {
-                    ck.bump_overrun();
-                }
-                done.min(deadline)
-            }
-            None => done,
-        };
-        self.checkpoint = Some(ck);
-        resumed
     }
 
     /// Current flash location of `lpn`, if mapped.
@@ -261,66 +72,19 @@ impl PageMapFtl {
         self.map.get(&lpn).copied()
     }
 
-    fn fresh_block(&mut self, device: &mut FlashDevice, now: Cycle) -> Result<BlockAddr> {
-        self.fresh_block_with(device, now, false)
-    }
-
-    /// The one allocation chokepoint. `most_worn` picks the tired end of
-    /// the recycled pool instead of the coldest block — the static wear
-    /// leveler's destination, so cold data parks on high-wear cells.
-    fn fresh_block_with(
+    /// Allocates a fresh data block, collecting garbage first when the
+    /// pool runs low. `most_worn` picks the tired end of the recycled
+    /// pool — the static leveler's destination.
+    fn fresh_block(
         &mut self,
         device: &mut FlashDevice,
         now: Cycle,
         most_worn: bool,
     ) -> Result<BlockAddr> {
-        if self.allocator.free() <= self.gc_threshold && !self.gc_active {
+        if self.svc.allocator.free() <= self.gc_threshold && !self.gc_active {
             self.gc(now, device)?;
         }
-        let idx = loop {
-            let idx = if most_worn {
-                self.allocator.allocate_most_worn()?
-            } else {
-                self.allocator.allocate()?
-            };
-            if let Some(h) = self.health.as_mut() {
-                let addr = device.geometry().block_for_index(idx)?;
-                if device.die_is_dead(addr.channel, addr.die) {
-                    // Dead silicon never returns: retire, exactly like
-                    // RAIN's fencing classification would.
-                    self.allocator.retire(idx);
-                    continue;
-                }
-                let key = (addr.channel.index() as u16, addr.die.index() as u16);
-                if h.is_quarantined(key) {
-                    // Quarantine is reversible: park the block instead of
-                    // retiring it, so rehabilitation can hand it back.
-                    h.park(idx, key);
-                    continue;
-                }
-            }
-            match self.rain.as_mut() {
-                Some(rain) => match rain.classify(device, idx)? {
-                    Claim::Keep => break idx,
-                    // The superblock's reserved parity member: RAIN keeps
-                    // it, the FTL allocates again. Parity programs land
-                    // here later, so the fast-path rescan must cover it.
-                    Claim::Parity => {
-                        if let Some(ck) = self.checkpoint.as_mut() {
-                            ck.note_touched(idx);
-                        }
-                    }
-                    Claim::Fenced => self.allocator.retire(idx),
-                },
-                None => break idx,
-            }
-        };
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_touched(idx);
-        }
-        let addr = device.geometry().block_for_index(idx)?;
-        device.block_mut(addr)?.set_kind(BlockKind::Data);
-        Ok(addr)
+        self.svc.allocate(device, BlockKind::Data, most_worn)
     }
 
     /// Picks (allocating if needed) the active block for the next write
@@ -339,7 +103,7 @@ impl PageMapFtl {
             if let Some(old) = self.active[ch] {
                 self.sealed.push(old);
             }
-            self.active[ch] = Some(self.fresh_block(device, now)?);
+            self.active[ch] = Some(self.fresh_block(device, now, false)?);
         }
         Ok(self.active[ch].expect("slot just ensured"))
     }
@@ -356,9 +120,7 @@ impl PageMapFtl {
         let pages =
             self.rmap[idx].get_or_insert_with(|| vec![None; device.geometry().pages_per_block]);
         pages[addr.page as usize] = Some(lpn);
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_remap(lpn);
-        }
+        self.svc.note_remap(lpn);
     }
 
     /// Seals the active block that just failed a program so GC salvages
@@ -387,7 +149,7 @@ impl PageMapFtl {
             .write_page_inner(now, device, lpn)
             .map_err(|e| self.degrade_worn(e));
         let t = *r.as_ref().unwrap_or(&now);
-        self.ckpt_sync(t, device);
+        self.svc.ckpt_sync(t, device);
         r
     }
 
@@ -401,7 +163,7 @@ impl PageMapFtl {
             let block = self.next_slot(device, now)?;
             let report = device.program(now, block, lpn)?;
             if report.failed {
-                self.write_redrives += 1;
+                self.svc.write_redrives += 1;
                 self.seal_active(block);
                 continue;
             }
@@ -409,9 +171,7 @@ impl PageMapFtl {
                 device.invalidate(old);
             }
             self.record_mapping(device, lpn, FlashAddr::new(block, report.page));
-            if let Some(rain) = self.rain.as_mut() {
-                rain.note_program(report.done, device, block)?;
-            }
+            self.svc.note_program(report.done, device, block)?;
             return Ok(report.done);
         }
         Err(Error::FlashProtocol(format!(
@@ -432,16 +192,19 @@ impl PageMapFtl {
         }
         let block = self.next_slot(device, Cycle::ZERO)?;
         let page = device.preload_page(block, lpn)?;
-        if let Some(rain) = self.rain.as_mut() {
+        if let Some(rain) = self.svc.rain.as_mut() {
             rain.note_preload(device, block)?;
         }
         self.record_mapping(device, lpn, FlashAddr::new(block, page));
-        self.ckpt_sync(Cycle::ZERO, device);
+        self.svc.ckpt_sync(Cycle::ZERO, device);
         Ok(())
     }
 
     /// Reads `lpn`, installing it first if it was part of the initial
-    /// dataset; delivers `transfer_bytes` to the controller.
+    /// dataset; delivers `transfer_bytes` to the controller. A payload
+    /// that fails its checksum is reconstructed from its stripe and
+    /// healed onto a fresh location, or the read fails loudly — a
+    /// corrupted payload is never served as a successful read.
     ///
     /// # Errors
     ///
@@ -461,113 +224,81 @@ impl PageMapFtl {
                 .map_err(|e| self.degrade_worn(e))?;
         }
         let addr = *self.map.get(&lpn).expect("lpn just installed above");
-        let done = self.retried_read(now, device, addr, lpn, transfer_bytes)?;
-        let r = self.verify_read(done, device, addr, lpn, transfer_bytes);
+        let done = self
+            .svc
+            .retried_read(device, now, addr, lpn, transfer_bytes)?;
+        let r = verify_read(self, done, device, addr, lpn, transfer_bytes, true);
         // The read path mutates media too (install preloads, integrity
         // heals): flush any critical journal records before acking.
         let t = *r.as_ref().unwrap_or(&done);
-        self.ckpt_sync(t, device);
+        self.svc.ckpt_sync(t, device);
         r
     }
 
-    /// Validates the delivered payload against its OOB checksum and
-    /// escalates on a mismatch. The corruption lives in the array (a
-    /// consistent ECC miscorrection), so the charged re-read fails again;
-    /// with redundancy on, the page is reconstructed from its stripe and
-    /// healed onto a fresh location, else the read fails loudly — a
-    /// corrupted payload is never served as a successful read.
-    fn verify_read(
-        &mut self,
-        done: Cycle,
-        device: &mut FlashDevice,
-        addr: FlashAddr,
-        lpn: u64,
-        bytes: usize,
-    ) -> Result<Cycle> {
-        if !self.integrity || !device.page_is_corrupt(addr) {
-            return Ok(done);
-        }
-        self.icounters.detected += 1;
-        let t = device.read(done, addr, lpn, bytes).unwrap_or(done);
-        self.icounters.rereads += 1;
-        if self.rain.is_none() {
-            return Err(Error::IntegrityViolation {
-                block: addr.block.block as u64,
-                page: addr.page,
-            });
-        }
-        let t = self
-            .rain
-            .as_mut()
-            .expect("checked above")
-            .reconstruct(t, device, addr, bytes)?;
-        self.icounters.reconstructed += 1;
-        let t = self.heal_migrate(t, device, addr, lpn)?;
-        self.icounters.quarantined += 1;
-        Ok(t)
-    }
-
-    /// Migrates a reconstructed page off its corrupt physical location
-    /// through the normal write path, quarantining the stale copy.
-    fn heal_migrate(
+    /// Programs `lpn`, read from `src`, into the next striped slot — or
+    /// into `dest` while it has room — re-driving past program failures,
+    /// then invalidates `src` and remaps. `carry_corrupt` moves a corrupt
+    /// source's checksum mismatch along with the payload (GC and
+    /// relocation copy what they read, and must not launder it); heal,
+    /// scrub and rebuild write reconstructed clean data. Returns when the
+    /// program completes.
+    fn migrate_page(
         &mut self,
         now: Cycle,
         device: &mut FlashDevice,
         src: FlashAddr,
         lpn: u64,
+        dest: Option<BlockAddr>,
+        carry_corrupt: bool,
     ) -> Result<Cycle> {
-        let mut t = now;
-        let mut redrives = 0;
-        loop {
-            let dest = self.next_slot(device, t)?;
-            let report = device.program_migrate(t, dest, lpn)?;
+        for _ in 0..MAX_WRITE_REDRIVES {
+            let target = match dest {
+                Some(d)
+                    if device
+                        .block(d)
+                        .is_some_and(|b| !b.is_full() && !b.is_failed()) =>
+                {
+                    d
+                }
+                _ => self.next_slot(device, now)?,
+            };
+            let report = device.program_migrate(now, target, lpn)?;
             if report.failed {
-                self.write_redrives += 1;
-                self.seal_active(dest);
-                redrives += 1;
-                if redrives >= MAX_WRITE_REDRIVES {
-                    return Err(Error::FlashProtocol(format!(
-                        "integrity heal of lpn {lpn} still failing after \
-                         {MAX_WRITE_REDRIVES} re-drives"
-                    )));
+                self.svc.write_redrives += 1;
+                // A burned striped block is sealed for salvage; a burned
+                // dedicated destination just stops accepting (it joins
+                // the sealed list after the relocation, for GC to retire).
+                if Some(target) != dest {
+                    self.seal_active(target);
                 }
                 continue;
             }
-            device.invalidate(src);
-            self.record_mapping(device, lpn, FlashAddr::new(dest, report.page));
-            if let Some(rain) = self.rain.as_mut() {
-                rain.note_program(report.done, device, dest)?;
+            if carry_corrupt && device.page_is_corrupt(src) {
+                device.mark_page_corrupt(FlashAddr::new(target, report.page))?;
             }
-            t = report.done;
-            break;
+            device.invalidate(src);
+            self.record_mapping(device, lpn, FlashAddr::new(target, report.page));
+            self.svc.note_program(report.done, device, target)?;
+            return Ok(report.done);
         }
-        Ok(t)
+        Err(Error::FlashProtocol(format!(
+            "migration of lpn {lpn} still failing after {MAX_WRITE_REDRIVES} re-drives"
+        )))
     }
 
-    /// A read with a bounded retry budget against transient
-    /// ECC-uncorrectable senses; with redundancy on, an exhausted ladder
-    /// falls back to stripe reconstruction. A quarantined die's data
-    /// gets an elevated retry budget.
-    fn retried_read(
-        &mut self,
-        now: Cycle,
-        device: &mut FlashDevice,
-        addr: FlashAddr,
-        lpn: u64,
-        bytes: usize,
-    ) -> Result<Cycle> {
-        let extra = match self.health.as_ref() {
-            Some(h)
-                if h.is_quarantined((
-                    addr.block.channel.index() as u16,
-                    addr.block.die.index() as u16,
-                )) =>
-            {
-                crate::health::QUARANTINE_EXTRA_READ_ATTEMPTS
-            }
-            _ => 0,
-        };
-        crate::engine::retried_read(device, now, addr, lpn, bytes, self.rain.as_mut(), extra)
+    /// The live `(page, lpn)` pairs of block `idx`, in page order.
+    fn live_pages(&self, idx: u64) -> Vec<(u32, u64)> {
+        self.rmap
+            .get(idx as usize)
+            .and_then(|p| p.as_ref())
+            .map(|pages| {
+                pages
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(p, lpn)| lpn.map(|l| (p as u32, l)))
+                    .collect()
+            })
+            .unwrap_or_default()
     }
 
     /// Greedy garbage collection: migrate the least-valid sealed block's
@@ -582,7 +313,7 @@ impl PageMapFtl {
         let r = self.gc_inner(now, device);
         self.gc_active = false;
         let t = *r.as_ref().unwrap_or(&now);
-        self.ckpt_sync(t, device);
+        self.svc.ckpt_sync(t, device);
         r
     }
 
@@ -600,233 +331,244 @@ impl PageMapFtl {
             .map(|(i, _)| i)
             .ok_or(Error::OutOfSpace)?;
         let victim = self.sealed.swap_remove(victim_pos);
-        let victim_idx = device.geometry().index_for_block(victim);
         self.gcs += 1;
+        let mut moved = 0;
+        let r = self.drain_and_erase(now, device, victim, None, &mut moved);
+        self.pages_migrated += moved;
+        r
+    }
 
-        // Migrate live pages, chained serially on the GC thread.
-        let live: Vec<(u32, u64)> = self
-            .rmap
-            .get(victim_idx as usize)
-            .and_then(|p| p.as_ref())
-            .map(|pages| {
-                pages
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(p, lpn)| lpn.map(|l| (p as u32, l)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut t = now;
+    /// Migrates every live page of `victim` (verified reads with the
+    /// retry/reconstruction ladder; corrupt flags move along, never
+    /// laundered), then erases the victim and returns it to the pool.
+    /// Pages land in `dest` while it has room, overflowing into the
+    /// striped write path; each one moved counts in `moved`. Returns when
+    /// the erase completes.
+    fn drain_and_erase(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        victim: BlockAddr,
+        dest: Option<BlockAddr>,
+        moved: &mut u64,
+    ) -> Result<Cycle> {
+        let victim_idx = device.geometry().index_for_block(victim);
         let page_bytes = device.geometry().page_bytes;
-        for (page, lpn) in live {
+        let mut t = now;
+        for (page, lpn) in self.live_pages(victim_idx) {
             let src = FlashAddr::new(victim, page);
-            t = self.retried_read(t, device, src, lpn, page_bytes)?;
-            // Re-drive the migration program until it verifies; the
-            // source copy stays valid until the new one lands.
-            let mut redrives = 0;
-            loop {
-                let dest = self.next_slot(device, t)?;
-                let report = device.program_migrate(t, dest, lpn)?;
-                if report.failed {
-                    self.write_redrives += 1;
-                    self.seal_active(dest);
-                    redrives += 1;
-                    if redrives >= MAX_WRITE_REDRIVES {
-                        return Err(Error::FlashProtocol(format!(
-                            "GC migration of lpn {lpn} still failing after \
-                             {MAX_WRITE_REDRIVES} re-drives"
-                        )));
-                    }
-                    continue;
-                }
-                if device.page_is_corrupt(src) {
-                    // GC must not launder corruption: the moved copy is
-                    // byte-identical to the source, checksum mismatch
-                    // included.
-                    device.mark_page_corrupt(FlashAddr::new(dest, report.page))?;
-                }
-                device.invalidate(src);
-                self.record_mapping(device, lpn, FlashAddr::new(dest, report.page));
-                if let Some(rain) = self.rain.as_mut() {
-                    rain.note_program(report.done, device, dest)?;
-                }
-                t = report.done;
-                break;
-            }
-            self.pages_migrated += 1;
+            t = self.svc.retried_read(device, t, src, lpn, page_bytes)?;
+            t = self.migrate_page(t, device, src, lpn, dest, true)?;
+            *moved += 1;
         }
         let erase = device.erase(t, victim)?;
         self.rmap[victim_idx as usize] = None;
         // A failed erase (or earlier failed program) retires the block.
-        match device.block(victim) {
-            Some(b) if b.is_failed() => {
-                self.allocator.retire(victim_idx);
-                self.blocks_retired += 1;
-            }
-            b => {
-                let wear = b.map(|blk| blk.erase_count()).unwrap_or(0);
-                self.allocator.release(victim_idx, wear);
-            }
-        }
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_touched(victim_idx);
-        }
+        self.svc.recycle(device, victim);
         Ok(erase.done)
     }
 
-    /// Rebuilds the mapping tables after a power loss.
-    ///
-    /// Call after [`FlashDevice::power_loss`]: the page map, reverse map,
-    /// sealed list and per-channel active blocks are reconstructed from a
-    /// full-device OOB scan. Duplicate logical pages resolve by program
-    /// stamp (newest intact copy wins), torn pages are discarded, dead
-    /// blocks are erased back into the free pool, and the allocator is
-    /// re-derived. Deterministic and idempotent: scanning the same media
-    /// twice rebuilds the same mapping state.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash-protocol errors from the dead-block reclaim.
-    pub fn recover(
+    /// Relocates `victim`'s live pages (see
+    /// [`PageMapFtl::drain_and_erase`]). The caller must have removed
+    /// `victim` from the sealed list. A dedicated `dest` (the static
+    /// leveler's worn-block destination) is sealed afterwards, partial
+    /// or full: GC sees it, and a burned one retires at its next erase.
+    fn relocate_block(
         &mut self,
         now: Cycle,
         device: &mut FlashDevice,
-    ) -> Result<crate::recovery::RecoveryReport> {
-        use crate::recovery;
-        // The checkpoint fast path: load the newest verified checkpoint,
-        // replay the journal tail, and re-scan only the blocks touched
-        // since the stamp. Any verification failure falls back to the
-        // full scan below — the two paths feed the identical rebuild, so
-        // the fast path can only save time, never change the outcome.
-        let planned = self
-            .checkpoint
-            .as_ref()
-            .and_then(|ck| ck.plan_fast_scan(device));
-        let fast_path = planned.is_some();
-        let fallback = self.checkpoint.is_some() && !fast_path;
-        let (scan, journal_replayed, blocks_rescanned, cycles_saved) = match planned {
-            Some(f) => {
-                #[cfg(debug_assertions)]
-                debug_assert_eq!(
-                    f.scan.blocks,
-                    recovery::scan_device(device).blocks,
-                    "fast-path image must equal a full scan of the same media"
-                );
-                (
-                    f.scan,
-                    f.journal_replayed,
-                    f.blocks_rescanned,
-                    f.cycles_saved,
-                )
-            }
-            None => (recovery::scan_device(device), 0, 0, Cycle::ZERO),
-        };
-        let winners = recovery::resolve_winners(&scan.blocks);
-        let candidates: u64 = scan.blocks.iter().map(|b| b.entries.len() as u64).sum();
-        let geo = *device.geometry();
-
-        self.map.clear();
-        self.rmap.iter_mut().for_each(|p| *p = None);
-        self.sealed.clear();
-        self.active = vec![None; geo.channels];
-        self.cursor = 0;
-
-        // Winners per owning block; rebuilding map + rmap together.
-        let mut live_by_block: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
-        for (&lpn, &(_, addr)) in &winners {
-            self.map.insert(lpn, addr);
-            live_by_block
-                .entry(geo.index_for_block(addr.block))
-                .or_default()
-                .push((addr.page, lpn));
+        victim: BlockAddr,
+        dest: Option<BlockAddr>,
+    ) -> Result<(Cycle, u64)> {
+        let mut moved = 0;
+        let done = self.drain_and_erase(now, device, victim, dest, &mut moved)?;
+        if let Some(d) = dest {
+            self.sealed.push(d);
         }
-
-        let mut referenced = 0u64;
-        let mut dead = Vec::new();
-        for blk in &scan.blocks {
-            let Some(live) = live_by_block.get(&blk.idx) else {
-                dead.push(blk);
-                continue;
-            };
-            referenced += 1;
-            let b = device.block_mut(blk.addr)?;
-            b.set_kind(BlockKind::Data);
-            let mut pages = vec![None; geo.pages_per_block];
-            for &(page, lpn) in live {
-                b.restore_valid(page);
-                pages[page as usize] = Some(lpn);
-            }
-            self.rmap[blk.idx as usize] = Some(pages);
-            // A partial healthy block resumes in-order writes as its
-            // channel's active block; everything else (full, failed, or a
-            // second partial on the same channel) is sealed for GC.
-            let ch = blk.addr.channel.index();
-            if !blk.full && !blk.failed && self.active[ch].is_none() {
-                self.active[ch] = Some(blk.addr);
-            } else {
-                self.sealed.push(blk.addr);
-            }
-        }
-
-        let pool = recovery::rebuild_free_pool(
-            device,
-            &scan.blocks,
-            dead,
-            referenced,
-            now + scan.base_cycles,
-            self.allocator.policy(),
-            self.allocator.retired(),
-        )?;
-        // Only retirements discovered by this recovery count as new; the
-        // rest were already charged when they happened.
-        self.blocks_retired += pool.retired_delta;
-        self.allocator = pool.allocator;
-        self.stale_ckpt = pool.deferred;
-        let done = pool.done;
-        if let Some(rain) = self.rain.as_mut() {
-            // Open-stripe parity lived in SRAM (lost with power) and
-            // flushed parity blocks were reclaimed by the scan just now:
-            // stripes restart empty.
-            rain.reset_after_recovery();
-        }
-        if let Some(st) = self.endurance.as_mut() {
-            st.reset_after_recovery();
-        }
-        if let Some(h) = self.health.as_mut() {
-            h.reset_after_recovery();
-        }
-        self.icounters.quarantined += scan.corrupt;
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.reset_after_recovery();
-        }
-        Ok(recovery::RecoveryReport {
-            pages_scanned: scan.pages_scanned,
-            torn_discarded: scan.torn,
-            stale_dropped: candidates - winners.len() as u64,
-            blocks_erased: pool.blocks_erased,
-            corrupt_quarantined: scan.corrupt,
-            scan_cycles: done - now,
-            fast_path,
-            fallback,
-            journal_replayed,
-            blocks_rescanned,
-            cycles_saved,
-        })
+        Ok((done, moved))
     }
 
-    /// Fences a freshly failed die: active write slots on it are dropped
-    /// (the next write allocates elsewhere) and its sealed blocks leave
-    /// the GC candidate list, while their live pages stay mapped — reads
-    /// reconstruct from the stripe — until
-    /// [`PageMapFtl::rebuild_dead_die`] migrates them. A no-op without
-    /// redundancy.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; `Result` for parity with
-    /// [`crate::ZngFtl::fence_dead_die`].
-    pub fn fence_dead_die(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        let Some(rain) = self.rain.as_mut() else {
+    /// The lowest-indexed block holding live pages on a quarantined
+    /// (but not dead) die, if any — the next evacuation victim.
+    fn next_evacuation_victim(&self, device: &FlashDevice) -> Option<BlockAddr> {
+        let h = self.svc.health.as_ref()?;
+        // Index order is ascending-block order: no sort needed.
+        let idxs = self.rmap.iter().enumerate().filter(|(_, pages)| {
+            pages
+                .as_ref()
+                .is_some_and(|pages| pages.iter().any(Option::is_some))
+        });
+        for (idx, _) in idxs {
+            let Ok(addr) = device.geometry().block_for_index(idx as u64) else {
+                continue;
+            };
+            if device.die_is_dead(addr.channel, addr.die) {
+                continue;
+            }
+            if h.is_quarantined((addr.channel.index() as u16, addr.die.index() as u16))
+                && !self.active.contains(&Some(addr))
+            {
+                return Some(addr);
+            }
+        }
+        None
+    }
+
+    /// Pages migrated by GC (write amplification numerator).
+    pub fn pages_migrated(&self) -> u64 {
+        self.pages_migrated
+    }
+
+    /// Mapped logical pages.
+    pub fn mapped(&self) -> usize {
+        self.map.len()
+    }
+}
+
+impl Mapping for PageMapFtl {
+    fn services(&self) -> &FtlServices {
+        &self.svc
+    }
+
+    fn services_mut(&mut self) -> &mut FtlServices {
+        &mut self.svc
+    }
+
+    fn locate(&self, lpn: u64) -> Option<FlashAddr> {
+        self.translate(lpn)
+    }
+
+    fn mapped_pages(&self) -> u64 {
+        self.map.len() as u64
+    }
+
+    fn gcs(&self) -> u64 {
+        self.gcs
+    }
+
+    fn rewrite_page(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        lpn: u64,
+        src: FlashAddr,
+    ) -> Result<Cycle> {
+        self.migrate_page(now, device, src, lpn, None, false)
+    }
+
+    /// Relocates the sealed block's live pages. An active block is
+    /// mid-write (in-order programming can't be disturbed): it seals soon
+    /// and refreshes on a later pass. Without a spare to refresh into,
+    /// the victim keeps serving (and stays tracked) until capacity frees
+    /// up.
+    fn refresh_block(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+        addr: BlockAddr,
+        reason: RefreshReason,
+    ) -> Result<Option<Cycle>> {
+        let idx = device.geometry().index_for_block(addr);
+        if self.active.contains(&Some(addr)) || self.rmap[idx as usize].is_none() {
+            return Ok(None);
+        }
+        self.sealed.retain(|a| *a != addr);
+        match self.relocate_block(now, device, addr, None) {
+            Ok((done, pages)) => {
+                if let Some(st) = self.svc.endurance.as_mut() {
+                    st.note_refresh(reason, pages);
+                }
+                Ok(Some(done))
+            }
+            Err(Error::DeviceWornOut { .. }) => {
+                self.sealed.push(addr);
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// The coldest sealed block (lowest erase count, holding live pages)
+    /// is relocated into the most-worn spare. A no-op when the recycled
+    /// pool is empty (a fresh block has zero wear — migrating cold data
+    /// onto it would widen the spread) or no eligible victim exists.
+    fn level_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
+        if self.svc.allocator.recycled_available() == 0 {
+            return Ok(now);
+        }
+        let victim = self
+            .sealed
+            .iter()
+            .copied()
+            .filter(|&a| {
+                !device.die_is_dead(a.channel, a.die)
+                    && device.block(a).is_some_and(|b| !b.is_failed())
+                    && self
+                        .rmap
+                        .get(device.geometry().index_for_block(a) as usize)
+                        .and_then(|p| p.as_ref())
+                        .is_some_and(|pages| pages.iter().any(Option::is_some))
+            })
+            .min_by_key(|&a| {
+                let wear = device.block(a).map(|b| b.erase_count()).unwrap_or(0);
+                (wear, device.geometry().index_for_block(a))
+            });
+        let Some(victim) = victim else {
+            return Ok(now);
+        };
+        let dest = self.fresh_block(device, now, true)?;
+        self.sealed.retain(|a| *a != victim);
+        let (done, pages) = match self.relocate_block(now, device, victim, Some(dest)) {
+            Ok(r) => r,
+            Err(e @ Error::DeviceWornOut { .. }) => {
+                // Keep the partially drained victim tracked; the caller
+                // skips the step.
+                self.sealed.push(victim);
+                return Err(e);
+            }
+            Err(e) => return Err(e),
+        };
+        if let Some(st) = self.svc.endurance.as_mut() {
+            st.note_levelling(pages);
+        }
+        Ok(done)
+    }
+
+    /// First stops the stripe cursors from landing new writes on a
+    /// suspect by sealing active blocks on quarantined dies, then
+    /// relocates the lowest-indexed victim block. Without healthy spares
+    /// the victim keeps serving (and stays tracked).
+    fn evacuate_one(
+        &mut self,
+        now: Cycle,
+        device: &mut FlashDevice,
+    ) -> Option<Result<(Cycle, u64)>> {
+        let h = self.svc.health.as_ref()?;
+        let quarantined: Vec<BlockAddr> = self
+            .active
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|a| h.is_quarantined((a.channel.index() as u16, a.die.index() as u16)))
+            .collect();
+        for addr in quarantined {
+            self.seal_active(addr);
+        }
+        let victim = self.next_evacuation_victim(device)?;
+        self.sealed.retain(|a| *a != victim);
+        let r = self.relocate_block(now, device, victim, None);
+        if matches!(r, Err(Error::DeviceWornOut { .. } | Error::OutOfSpace)) {
+            self.sealed.push(victim);
+        }
+        Some(r)
+    }
+
+    /// Active write slots on the dead die are dropped (the next write
+    /// allocates elsewhere) and its sealed blocks leave the GC candidate
+    /// list, while their live pages stay mapped — reads reconstruct from
+    /// the stripe — until [`Mapping::rebuild_dead_die`] migrates them.
+    fn fence_dead_die(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
+        let Some(rain) = self.svc.rain.as_mut() else {
             return Ok(now);
         };
         let mut fenced = 0u64;
@@ -849,23 +591,13 @@ impl PageMapFtl {
         Ok(now)
     }
 
-    /// Migrates every logical page lost to a dead die onto healthy
-    /// blocks: each is reconstructed from its surviving stripe members
-    /// and re-programmed through the normal write path, then the dead
-    /// blocks are retired. Returns the completion time and the pages
-    /// rebuilt; a no-op without redundancy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and flash-protocol errors, and
-    /// [`Error::UncorrectableRead`] when a stripe has lost a second
-    /// member.
-    pub fn rebuild_dead_die(
-        &mut self,
-        now: Cycle,
-        device: &mut FlashDevice,
-    ) -> Result<(Cycle, u64)> {
-        if self.rain.is_none() {
+    /// Each lost page is reconstructed from its surviving stripe members
+    /// and re-programmed through the striped write path; fully rebuilt
+    /// dead blocks are then retired. A spare pool that runs dry stops the
+    /// rebuild with partial progress: the remaining pages stay mapped and
+    /// degraded.
+    fn rebuild_dead_die(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<(Cycle, u64)> {
+        if self.svc.rain.is_none() {
             return Ok((now, 0));
         }
         let page_bytes = device.geometry().page_bytes;
@@ -878,44 +610,15 @@ impl PageMapFtl {
         lost.sort_unstable();
         let mut t = now;
         let mut pages = 0u64;
-        'rebuild: for (lpn, old) in lost {
-            t = self
-                .rain
-                .as_mut()
-                .expect("rebuild requires redundancy")
-                .reconstruct(t, device, old, page_bytes)?;
-            let mut redrives = 0;
-            loop {
-                let dest = match self.next_slot(device, t) {
-                    Ok(d) => d,
-                    // Spare pool ran dry mid-rebuild: stop and report the
-                    // partial progress instead of aborting. The remaining
-                    // pages stay mapped and degraded — their reads keep
-                    // reconstructing from the stripe.
-                    Err(Error::DeviceWornOut { .. }) | Err(Error::OutOfSpace) => break 'rebuild,
-                    Err(e) => return Err(e),
-                };
-                let report = device.program_migrate(t, dest, lpn)?;
-                if report.failed {
-                    self.write_redrives += 1;
-                    self.seal_active(dest);
-                    redrives += 1;
-                    if redrives >= MAX_WRITE_REDRIVES {
-                        return Err(Error::FlashProtocol(format!(
-                            "rebuild of lpn {lpn} still failing after \
-                             {MAX_WRITE_REDRIVES} re-drives"
-                        )));
-                    }
-                    continue;
-                }
-                device.invalidate(old);
-                self.record_mapping(device, lpn, FlashAddr::new(dest, report.page));
-                if let Some(rain) = self.rain.as_mut() {
-                    rain.note_program(report.done, device, dest)?;
-                }
-                t = report.done;
-                break;
-            }
+        for (lpn, old) in lost {
+            let rain = self.svc.rain.as_mut().expect("checked above");
+            t = rain.reconstruct(t, device, old, page_bytes)?;
+            // Only the slot allocation reports an empty pool.
+            t = match self.migrate_page(t, device, old, lpn, None, false) {
+                Ok(done) => done,
+                Err(Error::DeviceWornOut { .. }) | Err(Error::OutOfSpace) => break,
+                Err(e) => return Err(e),
+            };
             pages += 1;
         }
         // A fully rebuilt dead block is entirely stale: drop its reverse
@@ -939,517 +642,73 @@ impl PageMapFtl {
             .collect();
         for idx in dead_idxs {
             self.rmap[idx as usize] = None;
-            self.allocator.retire(idx);
-            self.blocks_retired += 1;
-            if let Some(rain) = self.rain.as_mut() {
+            self.svc.retire(idx);
+            if let Some(rain) = self.svc.rain.as_mut() {
                 rain.fenced_blocks += 1;
             }
-            if let Some(ck) = self.checkpoint.as_mut() {
-                ck.note_touched(idx);
-            }
         }
-        if let Some(rain) = self.rain.as_mut() {
+        if let Some(rain) = self.svc.rain.as_mut() {
             rain.rebuild_pages += pages;
         }
-        self.ckpt_sync(t, device);
+        self.svc.ckpt_sync(t, device);
         Ok((t, pages))
     }
 
-    /// One patrol-scrub step: sense the next live page and migrate it to
-    /// a fresh location when its retry depth reached the scrub threshold
-    /// (or the sense needed the stripe outright). The foreground stall is
-    /// capped by the configured pacing budget; the media work always
-    /// completes. A no-op without redundancy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation and flash-protocol errors.
-    pub fn scrub_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        if self.rain.is_none() {
-            return Ok(now);
-        }
-        let Some((addr, lpn)) = self
-            .rain
-            .as_mut()
-            .expect("checked above")
-            .scrub_scan(device)
-        else {
-            return Ok(now);
-        };
-        let page_bytes = device.geometry().page_bytes;
-        let retries_before = device.stats().read_retries();
-        let unc_before = device.stats().uncorrectable_reads();
-        let mut t = self.retried_read(now, device, addr, lpn, page_bytes)?;
-        let depth = device.stats().read_retries() - retries_before;
-        let strained = device.stats().uncorrectable_reads() > unc_before;
-        // The patrol validates checksums too: a corrupt page is always
-        // rewritten, fed by a clean stripe reconstruction (rewriting the
-        // sensed payload would just copy the corruption along).
-        let corrupt = self.integrity && device.page_is_corrupt(addr);
-        let config = self.rain.as_ref().expect("checked above").config();
-        self.rain.as_mut().expect("checked above").scrub_scanned += 1;
-        if (depth >= config.scrub_threshold as u64 || strained || corrupt)
-            && self.translate(lpn) == Some(addr)
-        {
-            if corrupt {
-                self.icounters.detected += 1;
-                t = self
-                    .rain
-                    .as_mut()
-                    .expect("checked above")
-                    .reconstruct(t, device, addr, page_bytes)?;
-                self.icounters.reconstructed += 1;
-                self.icounters.quarantined += 1;
-            }
-            let mut redrives = 0;
-            loop {
-                let dest = self.next_slot(device, t)?;
-                let report = device.program_migrate(t, dest, lpn)?;
-                if report.failed {
-                    self.write_redrives += 1;
-                    self.seal_active(dest);
-                    redrives += 1;
-                    if redrives >= MAX_WRITE_REDRIVES {
-                        return Err(Error::FlashProtocol(format!(
-                            "scrub rewrite of lpn {lpn} still failing after \
-                             {MAX_WRITE_REDRIVES} re-drives"
-                        )));
-                    }
-                    continue;
-                }
-                device.invalidate(addr);
-                self.record_mapping(device, lpn, FlashAddr::new(dest, report.page));
-                if let Some(rain) = self.rain.as_mut() {
-                    rain.note_program(report.done, device, dest)?;
-                }
-                t = report.done;
-                break;
-            }
-            self.rain.as_mut().expect("checked above").scrub_rewrites += 1;
-        }
-        let capped = match config.pacing {
-            Some(p) if t > p.deadline(now) => {
-                self.rain.as_mut().expect("checked above").scrub_overruns += 1;
-                p.deadline(now)
-            }
-            _ => t,
-        };
-        self.ckpt_sync(t, device);
-        Ok(capped)
-    }
-
-    /// Converts an end-of-life allocator failure into the graceful
-    /// [`Error::CapacityDegraded`] step when endurance management is on;
-    /// passes every other error — and the baseline's hard cliff — through
-    /// untouched.
-    fn degrade_worn(&mut self, e: Error) -> Error {
-        let mapped = self.map.len() as u64;
-        match self.endurance.as_mut() {
-            Some(st) => st.degrade(e, mapped),
-            None => e,
-        }
-    }
-
-    /// One endurance step, run between demand requests: walk the refresh
-    /// cursor and relocate the first sealed block whose disturb count or
-    /// retention age crossed its threshold (verified reads → re-program →
-    /// remap → erase, which resets both clocks); with no refresh
-    /// candidate, run one static-levelling migration when the device
-    /// wear spread exceeds the configured ratio. The foreground stall is
-    /// capped by the policy's pacing budget; the media work always
-    /// completes. A no-op without an endurance policy.
-    ///
-    /// At end of life a step that cannot allocate a destination block is
-    /// skipped, not surfaced — the data is no safer anywhere else, the
-    /// mapping stays consistent, and capacity degradation is the write
-    /// path's to report.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash-protocol errors.
-    pub fn refresh_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        let Some(st) = self.endurance.as_mut() else {
-            return Ok(now);
-        };
-        if let Some((addr, reason)) = st.scan_candidate(device, now) {
-            // An active block is mid-write (in-order programming can't be
-            // disturbed); it seals soon and refreshes on a later pass.
-            let idx = device.geometry().index_for_block(addr);
-            if self.active.contains(&Some(addr)) || self.rmap[idx as usize].is_none() {
-                return Ok(now);
-            }
-            self.sealed.retain(|a| *a != addr);
-            let (done, pages) = match self.relocate_block(now, device, addr, None) {
-                Ok(r) => r,
-                Err(Error::DeviceWornOut { .. }) => {
-                    // No spare to refresh into; the victim keeps serving
-                    // (and stays tracked) until capacity frees up.
-                    self.sealed.push(addr);
-                    return Ok(now);
-                }
-                Err(e) => return Err(e),
-            };
-            let st = self.endurance.as_mut().expect("checked above");
-            st.note_refresh(reason, pages);
-            let paced = st.pace(now, done);
-            self.ckpt_sync(done, device);
-            return Ok(paced);
-        }
-        if self
-            .endurance
-            .as_ref()
-            .expect("checked above")
-            .wants_levelling(device)
-        {
-            let done = match self.level_step(now, device) {
-                Ok(done) => done,
-                Err(Error::DeviceWornOut { .. }) => now,
-                Err(e) => return Err(e),
-            };
-            let paced = self
-                .endurance
-                .as_mut()
-                .expect("checked above")
-                .pace(now, done);
-            self.ckpt_sync(done, device);
-            return Ok(paced);
-        }
-        Ok(now)
-    }
-
-    /// One predictive-health step, run by the SSD engine between demand
-    /// requests: advance the degrading-die clock, fence + rebuild any
-    /// die that died since the last tick (once per death), score the
-    /// per-die telemetry (flagging new suspects into quarantine and
-    /// rehabilitating false positives, whose parked blocks rejoin the
-    /// pool), and — when evacuation is on — relocate one victim block's
-    /// live pages off a suspect die onto healthy spares. The relocation
-    /// reuses the refresh machinery, so it is journalled,
-    /// checkpoint-aware and never launders corrupt pages. The foreground
-    /// stall is capped by the policy's pacing budget; the media work
-    /// always completes. A no-op without a health policy.
-    ///
-    /// A step that cannot allocate a destination (no healthy spares) is
-    /// skipped, not surfaced: the data is no safer anywhere else and a
-    /// later step retries.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flash-protocol errors.
-    pub fn health_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        if self.health.is_none() {
-            return Ok(now);
-        }
-        // A quiet device never reaches its own lazy death check: advance
-        // the degrading-die clock here so the monitor sees the death.
-        device.degrade_tick(now);
-        self.health.as_mut().expect("checked above").counters.ticks += 1;
-        let mut t = now;
-
-        // Dies that died since the last tick: fence + rebuild, once each.
-        let newly_dead: Vec<(u16, u16)> = device
-            .dead_dies()
-            .iter()
-            .copied()
-            .filter(|&key| self.health.as_mut().expect("checked above").note_dead(key))
-            .collect();
-        for _ in newly_dead {
-            t = self.fence_dead_die(t, device)?;
-            let (done, _pages) = self.rebuild_dead_die(t, device)?;
-            t = done;
-        }
-
-        // Score the telemetry; rehabilitated dies get their parked
-        // blocks back (with their real wear, for levelling).
-        let snapshot = device.stats().die_health_sorted();
-        let dead: Vec<(u16, u16)> = device.dead_dies().to_vec();
-        let rehabbed = self
-            .health
-            .as_mut()
-            .expect("checked above")
-            .observe(&snapshot, &dead);
-        for key in rehabbed {
-            let parked = self.health.as_mut().expect("checked above").unpark(key);
-            for idx in parked {
-                let wear = device
-                    .geometry()
-                    .block_for_index(idx)
-                    .ok()
-                    .and_then(|a| device.block(a))
-                    .map(|b| b.erase_count())
-                    .unwrap_or(0);
-                self.allocator.release(idx, wear);
-            }
-        }
-
-        if self.health.as_ref().expect("checked above").policy.evacuate {
-            // Stop the stripe cursors from landing new writes on a
-            // suspect: seal active blocks sitting on quarantined dies.
-            let quarantined: Vec<BlockAddr> = self
-                .active
-                .iter()
-                .flatten()
-                .copied()
-                .filter(|a| {
-                    self.health
-                        .as_ref()
-                        .expect("checked above")
-                        .is_quarantined((a.channel.index() as u16, a.die.index() as u16))
-                })
-                .collect();
-            for addr in quarantined {
-                self.seal_active(addr);
-            }
-            match self.next_evacuation_victim(device) {
-                Some(victim) => {
-                    self.sealed.retain(|a| *a != victim);
-                    match self.relocate_block(t, device, victim, None) {
-                        Ok((done, pages)) => {
-                            self.health
-                                .as_mut()
-                                .expect("checked above")
-                                .note_evacuated(pages);
-                            t = done;
-                        }
-                        Err(Error::DeviceWornOut { .. }) | Err(Error::OutOfSpace) => {
-                            // No healthy spares: the victim keeps serving
-                            // (and stays tracked) until capacity frees up.
-                            self.sealed.push(victim);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => {
-                    // Nothing live remains on any quarantined die: its
-                    // eventual death can no longer cost a single read.
-                    let h = self.health.as_mut().expect("checked above");
-                    for key in h.quarantined() {
-                        h.mark_evacuated(key);
-                    }
-                }
-            }
-        }
-        let paced = self.health.as_mut().expect("checked above").pace(now, t);
-        self.ckpt_sync(t, device);
-        Ok(paced)
-    }
-
-    /// The lowest-indexed block holding live pages on a quarantined
-    /// (but not dead) die, if any — the next evacuation victim.
-    fn next_evacuation_victim(&self, device: &FlashDevice) -> Option<BlockAddr> {
-        let h = self.health.as_ref()?;
-        // Index order is ascending-block order: no sort needed.
-        let idxs: Vec<u64> = self
-            .rmap
-            .iter()
-            .enumerate()
-            .filter(|(_, pages)| {
-                pages
-                    .as_ref()
-                    .is_some_and(|pages| pages.iter().any(Option::is_some))
-            })
-            .map(|(idx, _)| idx as u64)
-            .collect();
-        for idx in idxs {
-            let Ok(addr) = device.geometry().block_for_index(idx) else {
-                continue;
-            };
-            if device.die_is_dead(addr.channel, addr.die) {
-                continue;
-            }
-            if h.is_quarantined((addr.channel.index() as u16, addr.die.index() as u16))
-                && !self.active.contains(&Some(addr))
-            {
-                return Some(addr);
-            }
-        }
-        None
-    }
-
-    /// One static-levelling migration: the coldest sealed block (lowest
-    /// erase count, holding live pages) is relocated into the most-worn
-    /// spare block, and its freed low-wear cells rejoin the allocation
-    /// pool where the wear-levelled allocator hands them to hot traffic.
-    /// A no-op when the recycled pool is empty (a fresh block has zero
-    /// wear — migrating cold data onto it would widen the spread) or no
-    /// eligible victim exists.
-    fn level_step(&mut self, now: Cycle, device: &mut FlashDevice) -> Result<Cycle> {
-        if self.allocator.recycled_available() == 0 {
-            return Ok(now);
-        }
-        let victim = self
-            .sealed
-            .iter()
-            .copied()
-            .filter(|&a| {
-                !device.die_is_dead(a.channel, a.die)
-                    && device.block(a).is_some_and(|b| !b.is_failed())
-                    && self
-                        .rmap
-                        .get(device.geometry().index_for_block(a) as usize)
-                        .and_then(|p| p.as_ref())
-                        .is_some_and(|pages| pages.iter().any(Option::is_some))
-            })
-            .min_by_key(|&a| {
-                let wear = device.block(a).map(|b| b.erase_count()).unwrap_or(0);
-                (wear, device.geometry().index_for_block(a))
-            });
-        let Some(victim) = victim else {
-            return Ok(now);
-        };
-        let dest = self.fresh_block_with(device, now, true)?;
-        self.sealed.retain(|a| *a != victim);
-        let (done, pages) = match self.relocate_block(now, device, victim, Some(dest)) {
-            Ok(r) => r,
-            Err(e @ Error::DeviceWornOut { .. }) => {
-                // Keep the partially drained victim tracked; the caller
-                // skips the step.
-                self.sealed.push(victim);
-                return Err(e);
-            }
-            Err(e) => return Err(e),
-        };
-        if let Some(st) = self.endurance.as_mut() {
-            st.note_levelling(pages);
-        }
-        Ok(done)
-    }
-
-    /// Migrates every live page of `victim` (verified reads with the
-    /// retry/reconstruction ladder; corrupt flags move along, never
-    /// laundered), then erases the victim and returns it to the pool.
-    /// Pages land in `dest` while it has room (the static leveler's
-    /// worn-block destination), overflowing into the normal striped
-    /// write path; `None` uses the striped path throughout. The caller
-    /// must have removed `victim` from the sealed list.
-    fn relocate_block(
+    /// Rebuilds the page map, reverse map, sealed list and per-channel
+    /// active blocks from the winners.
+    fn rebuild_mapping(
         &mut self,
-        now: Cycle,
         device: &mut FlashDevice,
-        victim: BlockAddr,
-        dest: Option<BlockAddr>,
-    ) -> Result<(Cycle, u64)> {
-        let victim_idx = device.geometry().index_for_block(victim);
-        let live: Vec<(u32, u64)> = self
-            .rmap
-            .get(victim_idx as usize)
-            .and_then(|p| p.as_ref())
-            .map(|pages| {
-                pages
-                    .iter()
-                    .enumerate()
-                    .filter_map(|(p, lpn)| lpn.map(|l| (p as u32, l)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let mut t = now;
-        let mut moved = 0u64;
-        let page_bytes = device.geometry().page_bytes;
-        for (page, lpn) in live {
-            let src = FlashAddr::new(victim, page);
-            t = self.retried_read(t, device, src, lpn, page_bytes)?;
-            let mut redrives = 0;
-            loop {
-                let target = match dest {
-                    Some(d)
-                        if device
-                            .block(d)
-                            .is_some_and(|b| !b.is_full() && !b.is_failed()) =>
-                    {
-                        d
-                    }
-                    _ => self.next_slot(device, t)?,
-                };
-                let report = device.program_migrate(t, target, lpn)?;
-                if report.failed {
-                    self.write_redrives += 1;
-                    // A burned striped block is sealed for salvage; a
-                    // burned dedicated destination just stops accepting
-                    // (it joins the sealed list below for GC to retire).
-                    if Some(target) != dest {
-                        self.seal_active(target);
-                    }
-                    redrives += 1;
-                    if redrives >= MAX_WRITE_REDRIVES {
-                        return Err(Error::FlashProtocol(format!(
-                            "relocation of lpn {lpn} still failing after \
-                             {MAX_WRITE_REDRIVES} re-drives"
-                        )));
-                    }
-                    continue;
-                }
-                if device.page_is_corrupt(src) {
-                    // Relocation must not launder corruption: the moved
-                    // copy is byte-identical, checksum mismatch included.
-                    device.mark_page_corrupt(FlashAddr::new(target, report.page))?;
-                }
-                device.invalidate(src);
-                self.record_mapping(device, lpn, FlashAddr::new(target, report.page));
-                if let Some(rain) = self.rain.as_mut() {
-                    rain.note_program(report.done, device, target)?;
-                }
-                t = report.done;
-                break;
-            }
-            moved += 1;
+        scan: &Scan,
+        winners: &BTreeMap<u64, (u64, FlashAddr)>,
+    ) -> Result<BTreeSet<u64>> {
+        let geo = *device.geometry();
+        self.map.clear();
+        self.rmap.iter_mut().for_each(|p| *p = None);
+        self.sealed.clear();
+        self.active = vec![None; geo.channels];
+        self.cursor = 0;
+
+        // Winners per owning block; rebuilding map + rmap together.
+        let mut live_by_block: BTreeMap<u64, Vec<(u32, u64)>> = BTreeMap::new();
+        for (&lpn, &(_, addr)) in winners {
+            self.map.insert(lpn, addr);
+            live_by_block
+                .entry(geo.index_for_block(addr.block))
+                .or_default()
+                .push((addr.page, lpn));
         }
-        let erase = device.erase(t, victim)?;
-        self.rmap[victim_idx as usize] = None;
-        match device.block(victim) {
-            Some(b) if b.is_failed() => {
-                self.allocator.retire(victim_idx);
-                self.blocks_retired += 1;
+
+        for blk in &scan.blocks {
+            let Some(live) = live_by_block.get(&blk.idx) else {
+                continue;
+            };
+            let b = device.block_mut(blk.addr)?;
+            b.set_kind(BlockKind::Data);
+            let mut pages = vec![None; geo.pages_per_block];
+            for &(page, lpn) in live {
+                b.restore_valid(page);
+                pages[page as usize] = Some(lpn);
             }
-            b => {
-                let wear = b.map(|blk| blk.erase_count()).unwrap_or(0);
-                self.allocator.release(victim_idx, wear);
+            self.rmap[blk.idx as usize] = Some(pages);
+            // A partial healthy block resumes in-order writes as its
+            // channel's active block; everything else (full, failed, or a
+            // second partial on the same channel) is sealed for GC.
+            let ch = blk.addr.channel.index();
+            if !blk.full && !blk.failed && self.active[ch].is_none() {
+                self.active[ch] = Some(blk.addr);
+            } else {
+                self.sealed.push(blk.addr);
             }
         }
-        if let Some(ck) = self.checkpoint.as_mut() {
-            ck.note_touched(victim_idx);
-        }
-        if let Some(d) = dest {
-            // The dedicated destination is sealed (partial or full): GC
-            // sees it, and a burned one gets retired at its next erase.
-            self.sealed.push(d);
-        }
-        Ok((erase.done, moved))
-    }
-
-    /// Garbage collections performed.
-    pub fn gcs(&self) -> u64 {
-        self.gcs
-    }
-
-    /// Pages migrated by GC (write amplification numerator).
-    pub fn pages_migrated(&self) -> u64 {
-        self.pages_migrated
-    }
-
-    /// Mapped logical pages.
-    pub fn mapped(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Blocks permanently retired after failed programs/erases.
-    pub fn blocks_retired(&self) -> u64 {
-        self.blocks_retired
-    }
-
-    /// Writes re-driven to a new block after a program failure.
-    pub fn write_redrives(&self) -> u64 {
-        self.write_redrives
-    }
-
-    /// Free blocks (fresh + recycled) in the allocator's pool.
-    pub fn free_blocks(&self) -> u64 {
-        self.allocator.free()
+        Ok(live_by_block.into_keys().collect())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{HealthPolicy, IntegrityCounters, RainConfig};
     use zng_flash::{FlashGeometry, RegisterTopology};
     use zng_types::Freq;
 
@@ -1925,8 +1184,8 @@ mod tests {
         // Starve the spare pool so the rebuild runs dry part-way through
         // (the active write heads only hold a few dozen free slots).
         let mut drained = Vec::new();
-        while f.allocator.free() > 0 {
-            drained.push(f.allocator.allocate().unwrap());
+        while f.svc.allocator.free() > 0 {
+            drained.push(f.svc.allocator.allocate().unwrap());
         }
         let (t, pages) = f
             .rebuild_dead_die(t, &mut d)
@@ -1951,7 +1210,7 @@ mod tests {
         }
         // Once spares return, a second pass finishes the job.
         for idx in drained {
-            f.allocator.release(idx, 0);
+            f.svc.allocator.release(idx, 0);
         }
         let (_, more) = f.rebuild_dead_die(t, &mut d).unwrap();
         assert!(more > 0, "the resumed rebuild must make progress");
@@ -2020,7 +1279,7 @@ mod tests {
     #[test]
     fn health_off_step_is_inert() {
         let (mut d, mut f) = setup();
-        assert!(!f.health_enabled());
+        assert!(f.health_counters().is_none());
         assert_eq!(f.health_step(Cycle(123), &mut d).unwrap(), Cycle(123));
         assert!(f.health_counters().is_none());
         assert!(f.quarantined_dies().is_empty());

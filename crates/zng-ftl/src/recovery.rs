@@ -66,7 +66,7 @@ pub struct RecoveryReport {
 /// block and debug builds can assert the fast-path rebuild saw exactly
 /// what a full scan would have.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ScannedBlock {
+pub struct ScannedBlock {
     /// Device-wide block index (the allocator's currency).
     pub idx: u64,
     pub addr: BlockAddr,
@@ -97,7 +97,7 @@ impl ScannedBlock {
 }
 
 /// The raw scan: every touched block in ascending device index.
-pub(crate) struct Scan {
+pub struct Scan {
     pub blocks: Vec<ScannedBlock>,
     pub pages_scanned: u64,
     pub torn: u64,
@@ -332,12 +332,12 @@ pub(crate) struct RebuiltPool {
     pub done: Cycle,
 }
 
-/// The post-scan rebuild tail shared by [`crate::ZngFtl::recover`] and
-/// [`crate::PageMapFtl::recover`]: reclaim the dead (unreferenced)
-/// blocks, then rebuild the block allocator from what the scan and the
-/// reclaim learned. `start` is when the scan finishes (`now +
-/// base_cycles`); `prior_retired` is the allocator's pre-crash
-/// retirement count, so only newly discovered retirements are charged.
+/// The post-scan rebuild tail of [`crate::Mapping::recover`], shared by
+/// every FTL: reclaim the dead (unreferenced) blocks, then rebuild the
+/// block allocator from what the scan and the reclaim learned. `start`
+/// is when the scan finishes (`now + base_cycles`); `prior_retired` is
+/// the allocator's pre-crash retirement count, so only newly discovered
+/// retirements are charged.
 pub(crate) fn rebuild_free_pool<'a>(
     device: &mut FlashDevice,
     blocks: &[ScannedBlock],

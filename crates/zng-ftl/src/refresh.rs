@@ -204,13 +204,10 @@ impl EnduranceState {
     /// Caps a step's foreground stall at the pacing deadline, counting an
     /// overrun when the media work ran longer.
     pub(crate) fn pace(&mut self, started: Cycle, done: Cycle) -> Cycle {
-        match self.policy.pacing {
-            Some(p) if done > p.deadline(started) => {
-                self.counters.refresh_overruns += 1;
-                p.deadline(started)
-            }
-            _ => done,
-        }
+        let overruns = &mut self.counters.refresh_overruns;
+        self.policy
+            .pacing
+            .map_or(done, |p| p.cap(started, done, overruns))
     }
 
     /// Restarts the refresh walk from block zero after a crash recovery,

@@ -2,7 +2,7 @@
 
 use zng_flash::{EnduranceReport, FlashDevice, RegisterTopology, DISTURB_READS_PER_CYCLE};
 use zng_ftl::{
-    CheckpointCounters, EnduranceCounters, GcPacing, GcReport, HealthCounters, IntegrityCounters,
+    CheckpointCounters, EnduranceCounters, GcReport, HealthCounters, IntegrityCounters, Mapping,
     RainConfig, RainCounters, RecoveryReport, RefreshPolicy, WriteMode, ZngFtl,
 };
 use zng_mem::{MemSubsystem, MemTiming, PcieLink};
@@ -113,11 +113,8 @@ impl Backend {
                 }
             }
         };
-        match &mut backend {
-            Backend::Zng { device, .. } => device.set_fault_config(&cfg.fault),
-            Backend::HybridGpu { ssd } => ssd.apply_faults(&cfg.fault),
-            Backend::Hetero { ssd, .. } => ssd.apply_faults(&cfg.fault),
-            Backend::Ideal { .. } | Backend::Optane { .. } => {}
+        if let Some((_, device)) = backend.flash_mut() {
+            device.set_fault_config(&cfg.fault);
         }
         // Overload control: bound the flash-side queues and pace GC.
         // Hetero's page-fault path mutates residency before touching the
@@ -130,104 +127,91 @@ impl Backend {
                 _ => {}
             }
         }
-        if let Some(budget) = cfg.qos.gc_stall_budget {
-            if let Backend::Zng { ftl, .. } = &mut backend {
-                ftl.set_gc_pacing(Some(GcPacing {
-                    stall_budget: budget,
-                    credit_writes: cfg.qos.gc_credit_writes,
-                }));
-            }
+        let pacing = cfg.qos.gc_pacing();
+        if let Backend::Zng { ftl, .. } = &mut backend {
+            ftl.set_gc_pacing(pacing);
         }
-        // Redundancy: RAIN parity + patrol scrub on every flash FTL. The
-        // scrubber inherits the QoS GC stall budget so background repair
-        // and foreground traffic share one pacing contract.
+        let Some((ftl, device)) = backend.flash_mut() else {
+            return Ok(backend);
+        };
+        // Every opt-in subsystem below is off by default — no RNG draws,
+        // no counters, byte-identical output — and inherits the QoS GC
+        // stall budget, so background work and foreground traffic share
+        // one pacing contract.
+        // Redundancy: RAIN parity + patrol scrub.
         if cfg.redundancy.enabled {
-            let rain = RainConfig {
-                scrub_threshold: cfg.redundancy.scrub_threshold,
-                pacing: cfg.qos.gc_stall_budget.map(|budget| GcPacing {
-                    stall_budget: budget,
-                    credit_writes: cfg.qos.gc_credit_writes,
+            let scrub_threshold = cfg.redundancy.scrub_threshold;
+            ftl.set_redundancy(
+                device,
+                Some(RainConfig {
+                    scrub_threshold,
+                    pacing,
                 }),
-            };
-            backend.set_redundancy(Some(rain));
+            );
         }
-        // End-to-end integrity: arm silent-corruption injection on the
-        // media and payload verification in the FTL. Off by default —
-        // no checksum work, no RNG draws, byte-identical output.
+        // End-to-end integrity: silent-corruption injection on the media
+        // and payload verification in the FTL.
         if cfg.integrity.enabled {
-            let sdc = cfg.integrity.sdc();
-            match &mut backend {
-                Backend::Zng { device, ftl, .. } => {
-                    device.set_integrity_config(&sdc);
-                    ftl.set_integrity(true);
-                }
-                Backend::HybridGpu { ssd } => ssd.apply_integrity(&sdc, true),
-                Backend::Hetero { ssd, .. } => ssd.apply_integrity(&sdc, true),
-                Backend::Ideal { .. } | Backend::Optane { .. } => {}
-            }
+            device.set_integrity_config(&cfg.integrity.sdc());
+            ftl.set_integrity(true);
         }
-        // Device-lifetime endurance: arm read-disturb/retention tracking
-        // on the media and the refresh + static-levelling scheduler in
-        // the FTL. The scheduler inherits the QoS GC stall budget so
-        // background refresh and foreground traffic share one pacing
-        // contract. Off by default — no counters, byte-identical output.
+        // Device-lifetime endurance: read-disturb/retention tracking on
+        // the media and the refresh + static-levelling scheduler.
         if cfg.endurance.enabled {
-            let policy = RefreshPolicy {
+            device.set_endurance_tracking(Some(DISTURB_READS_PER_CYCLE));
+            ftl.set_endurance(Some(RefreshPolicy {
                 disturb_threshold: cfg.endurance.disturb_threshold,
                 retention_threshold: cfg.endurance.retention_threshold,
                 wear_spread: cfg.endurance.wear_spread,
-                pacing: cfg.qos.gc_stall_budget.map(|budget| GcPacing {
-                    stall_budget: budget,
-                    credit_writes: cfg.qos.gc_credit_writes,
-                }),
-            };
-            match &mut backend {
-                Backend::Zng { device, ftl, .. } => {
-                    device.set_endurance_tracking(Some(DISTURB_READS_PER_CYCLE));
-                    ftl.set_endurance(Some(policy));
-                }
-                Backend::HybridGpu { ssd } => ssd.apply_endurance(policy),
-                Backend::Hetero { ssd, .. } => ssd.apply_endurance(policy),
-                Backend::Ideal { .. } | Backend::Optane { .. } => {}
-            }
+                pacing,
+            }));
         }
         // Bounded-time crash recovery: mapping checkpoints + delta
-        // journal in a reserved flash namespace, paced by the same QoS
-        // stall-budget contract as GC. Off by default — no checkpoint
-        // pages, no journal, byte-identical output.
+        // journal in a reserved flash namespace.
         if cfg.checkpoint.enabled {
-            let policy = cfg.checkpoint.ftl(&cfg.qos);
-            match &mut backend {
-                Backend::Zng { ftl, .. } => ftl.set_checkpointing(Some(policy)),
-                Backend::HybridGpu { ssd } => ssd.set_checkpointing(Some(policy)),
-                Backend::Hetero { ssd, .. } => ssd.set_checkpointing(Some(policy)),
-                Backend::Ideal { .. } | Backend::Optane { .. } => {}
-            }
+            ftl.set_checkpointing(Some(cfg.checkpoint.ftl(&cfg.qos)));
         }
         // Predictive health: per-die telemetry scoring, suspect
-        // quarantine and pre-emptive evacuation on the flash FTLs, with
-        // evacuation paced by the same QoS stall-budget contract as GC.
-        // Off by default — no scoring, byte-identical output.
+        // quarantine and pre-emptive evacuation.
         if cfg.health.enabled {
-            let policy = cfg.health.ftl(&cfg.qos);
-            match &mut backend {
-                Backend::Zng { ftl, .. } => ftl.set_health(Some(policy)),
-                Backend::HybridGpu { ssd } => ssd.set_health(Some(policy)),
-                Backend::Hetero { ssd, .. } => ssd.set_health(Some(policy)),
-                Backend::Ideal { .. } | Backend::Optane { .. } => {}
-            }
+            ftl.set_health(Some(cfg.health.ftl(&cfg.qos)));
         }
         Ok(backend)
+    }
+
+    /// The flash FTL behind the shared maintenance interface, with the
+    /// device it manages; `None` on flashless platforms.
+    fn flash_mut(&mut self) -> Option<(&mut dyn Mapping, &mut FlashDevice)> {
+        match self {
+            Backend::Zng { device, ftl, .. } => Some((ftl, device)),
+            Backend::HybridGpu { ssd } => {
+                let (ftl, device) = ssd.parts_mut();
+                Some((ftl, device))
+            }
+            Backend::Hetero { ssd, .. } => {
+                let (ftl, device) = ssd.parts_mut();
+                Some((ftl, device))
+            }
+            Backend::Ideal { .. } | Backend::Optane { .. } => None,
+        }
+    }
+
+    /// The flash FTL behind the shared maintenance interface, with the
+    /// device it manages; `None` on flashless platforms.
+    fn flash(&self) -> Option<(&dyn Mapping, &FlashDevice)> {
+        match self {
+            Backend::Zng { device, ftl, .. } => Some((ftl, device)),
+            Backend::HybridGpu { ssd } => Some((ssd.ftl(), ssd.device())),
+            Backend::Hetero { ssd, .. } => Some((ssd.ftl(), ssd.device())),
+            Backend::Ideal { .. } | Backend::Optane { .. } => None,
+        }
     }
 
     /// Installs (or removes, with `None`) RAIN redundancy on the flash
     /// FTL. A no-op on flashless platforms.
     pub fn set_redundancy(&mut self, config: Option<RainConfig>) {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.set_redundancy(device, config),
-            Backend::HybridGpu { ssd } => ssd.set_redundancy(config),
-            Backend::Hetero { ssd, .. } => ssd.set_redundancy(config),
-            Backend::Ideal { .. } | Backend::Optane { .. } => {}
+        if let Some((ftl, device)) = self.flash_mut() {
+            ftl.set_redundancy(device, config);
         }
     }
 
@@ -400,12 +384,7 @@ impl Backend {
 
     /// The Z-NAND device, if this platform has one.
     pub fn flash_device(&self) -> Option<&FlashDevice> {
-        match self {
-            Backend::HybridGpu { ssd } => Some(ssd.device()),
-            Backend::Zng { device, .. } => Some(device),
-            Backend::Hetero { ssd, .. } => Some(ssd.device()),
-            _ => None,
-        }
+        self.flash().map(|(_, device)| device)
     }
 
     /// The ZnG FTL, if this is a ZnG platform.
@@ -418,33 +397,18 @@ impl Backend {
 
     /// Garbage collections performed by the backend's FTL.
     pub fn gcs(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.gcs(),
-            Backend::HybridGpu { ssd } => ssd.ftl().gcs(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().gcs(),
-            _ => 0,
-        }
+        self.flash().map_or(0, |(ftl, _)| ftl.gcs())
     }
 
     /// Blocks the backend's FTL permanently retired after failed
     /// programs/erases.
     pub fn blocks_retired(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.blocks_retired(),
-            Backend::HybridGpu { ssd } => ssd.ftl().blocks_retired(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().blocks_retired(),
-            _ => 0,
-        }
+        self.flash().map_or(0, |(ftl, _)| ftl.blocks_retired())
     }
 
     /// Writes the backend's FTL re-drove after program failures.
     pub fn write_redrives(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.write_redrives(),
-            Backend::HybridGpu { ssd } => ssd.ftl().write_redrives(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().write_redrives(),
-            _ => 0,
-        }
+        self.flash().map_or(0, |(ftl, _)| ftl.write_redrives())
     }
 
     /// Admissions refused by bounded queues (channels, network links,
@@ -492,26 +456,17 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors from the fencing relocations.
     pub fn fail_die(&mut self, now: Cycle, channel: u16, die: u16) -> Result<Cycle> {
-        let (ch, die) = (ChannelId(channel), DieId(die));
-        match self {
-            Backend::Zng { device, ftl, .. } => {
-                device.fail_die(ch, die);
-                ftl.fence_dead_die(now, device)
-            }
-            Backend::HybridGpu { ssd } => ssd.fail_die(now, ch, die),
-            Backend::Hetero { ssd, .. } => ssd.fail_die(now, ch, die),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok(now),
-        }
+        let Some((ftl, device)) = self.flash_mut() else {
+            return Ok(now);
+        };
+        device.fail_die(ChannelId(channel), DieId(die));
+        ftl.fence_dead_die(now, device)
     }
 
     /// Severs one flash network link; transfers detour around it.
     pub fn fail_link(&mut self, channel: u16) {
-        let ch = ChannelId(channel);
-        match self {
-            Backend::Zng { device, .. } => device.fail_link(ch),
-            Backend::HybridGpu { ssd } => ssd.fail_link(ch),
-            Backend::Hetero { ssd, .. } => ssd.fail_link(ch),
-            Backend::Ideal { .. } | Backend::Optane { .. } => {}
+        if let Some((_, device)) = self.flash_mut() {
+            device.fail_link(ChannelId(channel));
         }
     }
 
@@ -522,12 +477,8 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors.
     pub fn scrub_step(&mut self, now: Cycle) -> Result<Cycle> {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.scrub_step(now, device),
-            Backend::HybridGpu { ssd } => ssd.scrub_step(now),
-            Backend::Hetero { ssd, .. } => ssd.scrub_step(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok(now),
-        }
+        self.flash_mut()
+            .map_or(Ok(now), |(ftl, device)| ftl.scrub_step(now, device))
     }
 
     /// Re-creates every page stranded on dead dies onto healthy spare
@@ -537,12 +488,9 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors from reconstruction and reprogramming.
     pub fn rebuild_dead_die(&mut self, now: Cycle) -> Result<(Cycle, u64)> {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.rebuild_dead_die(now, device),
-            Backend::HybridGpu { ssd } => ssd.rebuild_dead_die(now),
-            Backend::Hetero { ssd, .. } => ssd.rebuild_dead_die(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok((now, 0)),
-        }
+        self.flash_mut().map_or(Ok((now, 0)), |(ftl, device)| {
+            ftl.rebuild_dead_die(now, device)
+        })
     }
 
     /// One refresh-scheduler step on the flash FTL (threshold scan →
@@ -554,12 +502,8 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors.
     pub fn refresh_step(&mut self, now: Cycle) -> Result<Cycle> {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.refresh_step(now, device),
-            Backend::HybridGpu { ssd } => ssd.refresh_step(now),
-            Backend::Hetero { ssd, .. } => ssd.refresh_step(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok(now),
-        }
+        self.flash_mut()
+            .map_or(Ok(now), |(ftl, device)| ftl.refresh_step(now, device))
     }
 
     /// One background checkpoint write on the flash FTL: snapshot the
@@ -568,12 +512,8 @@ impl Backend {
     /// budget when one is set). A no-op without checkpointing or on
     /// flashless platforms.
     pub fn checkpoint_step(&mut self, now: Cycle) -> Cycle {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.checkpoint_step(now, device),
-            Backend::HybridGpu { ssd } => ssd.checkpoint_step(now),
-            Backend::Hetero { ssd, .. } => ssd.checkpoint_step(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => now,
-        }
+        self.flash_mut()
+            .map_or(now, |(ftl, device)| ftl.checkpoint_step(now, device))
     }
 
     /// One predictive-health tick on the flash FTL: score the per-die
@@ -587,52 +527,30 @@ impl Backend {
     ///
     /// Propagates flash/FTL errors.
     pub fn health_step(&mut self, now: Cycle) -> Result<Cycle> {
-        match self {
-            Backend::Zng { device, ftl, .. } => ftl.health_step(now, device),
-            Backend::HybridGpu { ssd } => ssd.health_step(now),
-            Backend::Hetero { ssd, .. } => ssd.health_step(now),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Ok(now),
-        }
+        self.flash_mut()
+            .map_or(Ok(now), |(ftl, device)| ftl.health_step(now, device))
     }
 
     /// The health monitor's counters, when the subsystem is on.
     pub fn health_counters(&self) -> Option<HealthCounters> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.health_counters(),
-            Backend::HybridGpu { ssd } => ssd.ftl().health_counters(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().health_counters(),
-            Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
+        self.flash().and_then(|(ftl, _)| ftl.health_counters())
     }
 
     /// The dies currently quarantined by the health monitor, sorted.
     pub fn quarantined_dies(&self) -> Vec<(u16, u16)> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.quarantined_dies(),
-            Backend::HybridGpu { ssd } => ssd.ftl().quarantined_dies(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().quarantined_dies(),
-            Backend::Ideal { .. } | Backend::Optane { .. } => Vec::new(),
-        }
+        self.flash()
+            .map(|(ftl, _)| ftl.quarantined_dies())
+            .unwrap_or_default()
     }
 
     /// The checkpoint writer's counters, when the subsystem is on.
     pub fn checkpoint_counters(&self) -> Option<CheckpointCounters> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.checkpoint_counters(),
-            Backend::HybridGpu { ssd } => ssd.ftl().checkpoint_counters(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().checkpoint_counters(),
-            Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
+        self.flash().and_then(|(ftl, _)| ftl.checkpoint_counters())
     }
 
     /// The endurance scheduler's counters, when the subsystem is on.
     pub fn endurance_counters(&self) -> Option<EnduranceCounters> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.endurance_counters(),
-            Backend::HybridGpu { ssd } => ssd.ftl().endurance_counters(),
-            Backend::Hetero { ssd, .. } => ssd.ftl().endurance_counters(),
-            Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
+        self.flash().and_then(|(ftl, _)| ftl.endurance_counters())
     }
 
     /// The device's wear histogram, if this platform has flash.
@@ -642,16 +560,8 @@ impl Backend {
 
     /// The integrity layer's counters, when verification is enabled.
     pub fn integrity_counters(&self) -> Option<IntegrityCounters> {
-        match self {
-            Backend::Zng { ftl, .. } if ftl.integrity_enabled() => Some(ftl.integrity_counters()),
-            Backend::HybridGpu { ssd } if ssd.ftl().integrity_enabled() => {
-                Some(ssd.ftl().integrity_counters())
-            }
-            Backend::Hetero { ssd, .. } if ssd.ftl().integrity_enabled() => {
-                Some(ssd.ftl().integrity_counters())
-            }
-            _ => None,
-        }
+        let (ftl, _) = self.flash()?;
+        ftl.integrity_enabled().then(|| ftl.integrity_counters())
     }
 
     /// Silently miscorrected pages injected into the flash arrays.
@@ -662,12 +572,8 @@ impl Backend {
 
     /// The redundancy subsystem's counters, when RAIN is installed.
     pub fn rain_counters(&self) -> Option<RainCounters> {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.redundancy().map(|r| r.counters()),
-            Backend::HybridGpu { ssd } => ssd.ftl().redundancy().map(|r| r.counters()),
-            Backend::Hetero { ssd, .. } => ssd.ftl().redundancy().map(|r| r.counters()),
-            Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
+        self.flash()
+            .and_then(|(ftl, _)| ftl.redundancy().map(|r| r.counters()))
     }
 
     /// Reads that targeted a dead die (each one forced a reconstruction

@@ -222,10 +222,7 @@ impl HealthConfig {
             window: self.window,
             suspect_threshold: self.suspect_threshold,
             evacuate: self.evacuate,
-            pacing: qos.gc_stall_budget.map(|budget| zng_ftl::GcPacing {
-                stall_budget: budget,
-                credit_writes: qos.gc_credit_writes,
-            }),
+            pacing: qos.gc_pacing(),
         }
     }
 
@@ -324,10 +321,7 @@ impl CheckpointConfig {
         zng_ftl::CheckpointConfig {
             every_ops: self.every_ops,
             journal_cap: self.journal_cap,
-            pacing: qos.gc_stall_budget.map(|budget| zng_ftl::GcPacing {
-                stall_budget: budget,
-                credit_writes: qos.gc_credit_writes,
-            }),
+            pacing: qos.gc_pacing(),
         }
     }
 

@@ -81,6 +81,16 @@ impl QosConfig {
         }
     }
 
+    /// The GC pacing contract every flash-side stall shares (merges,
+    /// scrub, refresh, checkpoints, evacuation), or `None` without a
+    /// stall budget.
+    pub fn gc_pacing(&self) -> Option<zng_ftl::GcPacing> {
+        self.gc_stall_budget.map(|budget| zng_ftl::GcPacing {
+            stall_budget: budget,
+            credit_writes: self.gc_credit_writes,
+        })
+    }
+
     /// Whether every overload-control mechanism is off (the byte-identical
     /// default).
     pub fn is_unbounded(&self) -> bool {

@@ -20,6 +20,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 cargo test -q --workspace
 
+# The benchmark harness is its own Cargo workspace, so the commands
+# above never build it: compile it here so a change to the library API
+# it drives (Backend, the runner) cannot break the benchmark unnoticed.
+cargo check --offline -q --manifest-path perfbench/Cargo.toml
+
 # Golden-determinism gate: the default-config JSON output is pinned
 # byte-for-byte against tests/golden/ (determinism + opt-in features
 # stay inert when off). Run by name so drift fails loudly even when the

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FaultProfile, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{PageMapFtl, WriteMode, ZngFtl};
+use zng_ftl::{Mapping, PageMapFtl, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 fn device(profile: u8, seed: u64, degrading: bool) -> FlashDevice {

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{PageMapFtl, RainConfig, RefreshPolicy, WriteMode, ZngFtl};
+use zng_ftl::{Mapping, PageMapFtl, RainConfig, RefreshPolicy, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 fn device(profile: u8, seed: u64) -> FlashDevice {

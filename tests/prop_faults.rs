@@ -13,7 +13,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{PageMapFtl, WriteMode, ZngFtl};
+use zng_ftl::{Mapping, PageMapFtl, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 fn device(cfg: &FaultConfig) -> FlashDevice {

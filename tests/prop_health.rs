@@ -20,7 +20,7 @@ use std::collections::HashSet;
 
 use proptest::prelude::*;
 use zng_flash::{DegradingDie, FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{HealthPolicy, PageMapFtl, RainConfig, WriteMode, ZngFtl};
+use zng_ftl::{HealthPolicy, Mapping, PageMapFtl, RainConfig, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 /// A hair-trigger policy: the degrading die is flagged on its first

@@ -24,7 +24,7 @@
 
 use proptest::prelude::*;
 use zng_flash::{FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{PageMapFtl, RainConfig, WriteMode, ZngFtl};
+use zng_ftl::{Mapping, PageMapFtl, RainConfig, WriteMode, ZngFtl};
 use zng_types::{Cycle, Error, Freq};
 
 fn device(profile: u8, seed: u64) -> FlashDevice {

@@ -28,7 +28,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 use zng_flash::{BlockKind, FaultConfig, FlashDevice, FlashGeometry, RegisterTopology};
-use zng_ftl::{GcPacing, PageMapFtl, RainConfig, WriteMode, ZngFtl};
+use zng_ftl::{GcPacing, Mapping, PageMapFtl, RainConfig, WriteMode, ZngFtl};
 use zng_types::{
     ids::{ChannelId, DieId},
     Cycle, Error, FlashAddr, Freq,
