@@ -259,11 +259,24 @@ impl FtlServices {
     }
 }
 
+/// What a verified read does with a page it had to reconstruct.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Heal {
+    /// No rewrite: the caller supersedes the page anyway (a
+    /// read-modify-write fetch).
+    Skip,
+    /// Rewrite the page clean in the background: the read completes when
+    /// reconstruction does, while the program keeps the die busy.
+    Background,
+    /// Rewrite the page clean and complete the read when the program
+    /// does.
+    Inline,
+}
+
 /// Verifies a host-facing payload (see [`FtlServices::verify`]) and, on
 /// a reconstructed mismatch, heals it through the mapping's rewrite path
-/// when `heal` — callers that supersede the page anyway (a
-/// read-modify-write fetch) skip the rewrite. The corrupt physical page
-/// is counted as quarantined either way.
+/// as `heal` directs. The corrupt physical page is counted as
+/// quarantined either way.
 pub(crate) fn verify_read<M: Mapping + ?Sized>(
     ftl: &mut M,
     done: Cycle,
@@ -271,13 +284,17 @@ pub(crate) fn verify_read<M: Mapping + ?Sized>(
     addr: FlashAddr,
     key: u64,
     bytes: usize,
-    heal: bool,
+    heal: Heal,
 ) -> Result<Cycle> {
     let Some(mut t) = ftl.services_mut().verify(done, device, addr, key, bytes)? else {
         return Ok(done);
     };
-    if heal {
-        t = ftl.rewrite_page(t, device, key, addr)?;
+    match heal {
+        Heal::Skip => {}
+        Heal::Background => {
+            ftl.rewrite_page(t, device, key, addr)?;
+        }
+        Heal::Inline => t = ftl.rewrite_page(t, device, key, addr)?,
     }
     ftl.services_mut().icounters.quarantined += 1;
     Ok(t)

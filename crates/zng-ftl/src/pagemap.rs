@@ -14,7 +14,7 @@ use zng_flash::{BlockKind, FlashDevice};
 use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
 use crate::allocator::BlockAllocator;
-use crate::maintenance::{verify_read, FtlServices, Mapping};
+use crate::maintenance::{verify_read, FtlServices, Heal, Mapping};
 use crate::recovery::Scan;
 use crate::refresh::RefreshReason;
 use crate::MAX_WRITE_REDRIVES;
@@ -65,11 +65,6 @@ impl PageMapFtl {
             gcs: 0,
             pages_migrated: 0,
         }
-    }
-
-    /// Current flash location of `lpn`, if mapped.
-    pub fn translate(&self, lpn: u64) -> Option<FlashAddr> {
-        self.map.get(&lpn).copied()
     }
 
     /// Allocates a fresh data block, collecting garbage first when the
@@ -227,7 +222,7 @@ impl PageMapFtl {
         let done = self
             .svc
             .retried_read(device, now, addr, lpn, transfer_bytes)?;
-        let r = verify_read(self, done, device, addr, lpn, transfer_bytes, true);
+        let r = verify_read(self, done, device, addr, lpn, transfer_bytes, Heal::Inline);
         // The read path mutates media too (install preloads, integrity
         // heals): flush any critical journal records before acking.
         let t = *r.as_ref().unwrap_or(&done);
@@ -435,7 +430,7 @@ impl Mapping for PageMapFtl {
     }
 
     fn locate(&self, lpn: u64) -> Option<FlashAddr> {
-        self.translate(lpn)
+        self.map.get(&lpn).copied()
     }
 
     fn mapped_pages(&self) -> u64 {
@@ -728,19 +723,19 @@ mod tests {
         let (mut d, mut f) = setup();
         let t = f.write_page(Cycle(0), &mut d, 42).unwrap();
         assert!(t >= Cycle(120_000));
-        let addr = f.translate(42).expect("mapped");
+        let addr = f.locate(42).expect("mapped");
         let r = f.read_page(t, &mut d, 42, 4096).unwrap();
         assert!(r > t);
-        assert_eq!(f.translate(42), Some(addr));
+        assert_eq!(f.locate(42), Some(addr));
     }
 
     #[test]
     fn overwrite_remaps_and_invalidates() {
         let (mut d, mut f) = setup();
         f.write_page(Cycle(0), &mut d, 1).unwrap();
-        let first = f.translate(1).unwrap();
+        let first = f.locate(1).unwrap();
         f.write_page(Cycle(0), &mut d, 1).unwrap();
-        let second = f.translate(1).unwrap();
+        let second = f.locate(1).unwrap();
         assert_ne!(first, second);
         let b = d.block(first.block).unwrap();
         assert!(!b.is_valid(first.page), "old copy must be stale");
@@ -752,7 +747,7 @@ mod tests {
         let t = f.read_page(Cycle(0), &mut d, 99, 128).unwrap();
         // Only the read cost, no program cost (data pre-resided).
         assert!(t < Cycle(120_000), "{t}");
-        assert!(f.translate(99).is_some());
+        assert!(f.locate(99).is_some());
         assert_eq!(f.mapped(), 1);
     }
 
@@ -761,8 +756,8 @@ mod tests {
         let (mut d, mut f) = setup();
         f.write_page(Cycle(0), &mut d, 1).unwrap();
         f.write_page(Cycle(0), &mut d, 2).unwrap();
-        let a = f.translate(1).unwrap();
-        let b = f.translate(2).unwrap();
+        let a = f.locate(1).unwrap();
+        let b = f.locate(2).unwrap();
         assert_ne!(a.block.channel, b.block.channel);
     }
 
@@ -779,7 +774,7 @@ mod tests {
         assert!(f.pages_migrated() < 40_000, "migration is bounded");
         // All 256 logical pages still readable.
         for lpn in 0..256 {
-            assert!(f.translate(lpn).is_some());
+            assert!(f.locate(lpn).is_some());
             f.read_page(t, &mut d, lpn, 128).unwrap();
         }
     }
@@ -817,7 +812,7 @@ mod tests {
             pacing: None,
         }));
         let t = f.write_page(Cycle(0), &mut d, 42).unwrap();
-        let addr = f.translate(42).unwrap();
+        let addr = f.locate(42).unwrap();
         f.seal_active(addr.block);
         // Long idle: the copy ages past the retention threshold.
         let mut t = t + Cycle(10_000_000);
@@ -830,7 +825,7 @@ mod tests {
         let c = f.endurance_counters().unwrap();
         assert_eq!(c.refreshes, 1, "the aged block must refresh");
         assert_eq!(c.retention_refreshes, 1);
-        let moved = f.translate(42).unwrap();
+        let moved = f.locate(42).unwrap();
         assert_ne!(moved.block, addr.block, "data moved to fresh cells");
         f.read_page(t, &mut d, 42, 128).unwrap();
         // The victim was erased back into the pool: nothing maps to it.
@@ -869,7 +864,7 @@ mod tests {
         assert!(remaining > 0, "mapped data remains advertised");
         assert_eq!(f.endurance_counters().unwrap().capacity_steps, 1);
         for lpn in 0..256u64 {
-            if f.translate(lpn).is_none() {
+            if f.locate(lpn).is_none() {
                 continue; // never successfully acked under EOL faults
             }
             match f.read_page(t, &mut d, lpn, 128) {
@@ -886,14 +881,14 @@ mod tests {
         for i in 0..500u64 {
             t = f.write_page(t, &mut d, i % 64).unwrap();
         }
-        let before: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let before: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         // `t` is the last program's completion, so nothing is in flight.
         d.power_loss(t);
         let rep = f.recover(t, &mut d).unwrap();
         assert!(rep.pages_scanned >= 500);
         assert!(rep.stale_dropped > 0, "overwrites left stale versions");
         assert_eq!(rep.torn_discarded, 0);
-        let after: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let after: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         assert_eq!(before, after, "mappings survive the crash exactly");
         for l in 0..64u64 {
             f.read_page(t + rep.scan_cycles, &mut d, l, 128).unwrap();
@@ -905,7 +900,7 @@ mod tests {
     fn recovery_rolls_torn_write_back_to_previous_copy() {
         let (mut d, mut f) = setup();
         let t1 = f.write_page(Cycle(0), &mut d, 9).unwrap();
-        let a1 = f.translate(9).unwrap();
+        let a1 = f.locate(9).unwrap();
         // Second write of the same page is cut mid-program.
         f.write_page(t1, &mut d, 9).unwrap();
         let cut = t1 + Cycle(1);
@@ -913,7 +908,7 @@ mod tests {
         assert_eq!(lost.pages_torn, 1);
         let rep = f.recover(cut, &mut d).unwrap();
         assert_eq!(rep.torn_discarded, 1);
-        assert_eq!(f.translate(9), Some(a1), "rolls back to the acked copy");
+        assert_eq!(f.locate(9), Some(a1), "rolls back to the acked copy");
         f.read_page(cut + rep.scan_cycles, &mut d, 9, 128).unwrap();
     }
 
@@ -927,12 +922,12 @@ mod tests {
         let cut = t - Cycle(60_000); // the last program is mid-flight
         d.power_loss(cut);
         f.recover(cut, &mut d).unwrap();
-        let first: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let first: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         let free = f.free_blocks();
         // Crash during recovery, recover again: same mapping state.
         d.power_loss(cut);
         f.recover(cut, &mut d).unwrap();
-        let second: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let second: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         assert_eq!(first, second);
         assert_eq!(f.free_blocks(), free);
     }
@@ -983,8 +978,8 @@ mod tests {
         assert!(rep.blocks_rescanned > 0, "{rep:?}");
         let full = f2.recover(t, &mut d2).unwrap();
         assert!(!full.fast_path && !full.fallback, "{full:?}");
-        let a: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
-        let b: Vec<_> = (0..64u64).map(|l| f2.translate(l)).collect();
+        let a: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
+        let b: Vec<_> = (0..64u64).map(|l| f2.locate(l)).collect();
         assert_eq!(a, b, "fast path rebuilds the exact full-scan mapping");
         assert_eq!(f.free_blocks(), f2.free_blocks());
     }
@@ -1001,7 +996,7 @@ mod tests {
         let rep = f.recover(t, &mut d).unwrap();
         assert!(!rep.fast_path && rep.fallback, "{rep:?}");
         for l in 0..32u64 {
-            assert!(f.translate(l).is_some());
+            assert!(f.locate(l).is_some());
         }
     }
 
@@ -1014,12 +1009,12 @@ mod tests {
             t = f.write_page(t, &mut d, i % 64).unwrap();
         }
         t = f.checkpoint_step(t, &mut d);
-        let before: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let before: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         d.mark_page_corrupt(first_checkpoint_page(&d)).unwrap();
         d.power_loss(t);
         let rep = f.recover(t, &mut d).unwrap();
         assert!(!rep.fast_path && rep.fallback, "{rep:?}");
-        let after: Vec<_> = (0..64u64).map(|l| f.translate(l)).collect();
+        let after: Vec<_> = (0..64u64).map(|l| f.locate(l)).collect();
         assert_eq!(before, after, "the fallback still rebuilds everything");
     }
 
@@ -1059,7 +1054,7 @@ mod tests {
         let rep = f.recover(t, &mut d).unwrap();
         assert!(!rep.fast_path && rep.fallback, "{rep:?}");
         for l in 0..32u64 {
-            assert!(f.translate(l).is_some());
+            assert!(f.locate(l).is_some());
         }
     }
 
@@ -1094,7 +1089,7 @@ mod tests {
     fn integrity_off_serves_corrupt_pages_unchanged() {
         let (mut d, mut f) = setup();
         let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
-        let addr = f.translate(5).unwrap();
+        let addr = f.locate(5).unwrap();
         d.mark_page_corrupt(addr).unwrap();
         // Baseline semantics: without the opt-in there is no checksum to
         // fail, so the corrupt payload flows through silently.
@@ -1107,7 +1102,7 @@ mod tests {
         let (mut d, mut f) = setup();
         f.set_integrity(true);
         let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
-        let addr = f.translate(5).unwrap();
+        let addr = f.locate(5).unwrap();
         d.mark_page_corrupt(addr).unwrap();
         match f.read_page(t, &mut d, 5, 128) {
             Err(Error::IntegrityViolation { .. }) => {}
@@ -1125,7 +1120,7 @@ mod tests {
         f.set_redundancy(&d, Some(RainConfig::default()));
         f.set_integrity(true);
         let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
-        let addr = f.translate(5).unwrap();
+        let addr = f.locate(5).unwrap();
         d.mark_page_corrupt(addr).unwrap();
         let t = f.read_page(t, &mut d, 5, 128).unwrap();
         let c = f.integrity_counters();
@@ -1134,7 +1129,7 @@ mod tests {
         assert_eq!(c.quarantined, 1);
         // Healed: the lpn now maps to a clean copy; re-reading it detects
         // nothing new.
-        let healed = f.translate(5).unwrap();
+        let healed = f.locate(5).unwrap();
         assert_ne!(healed, addr);
         assert!(!d.page_is_corrupt(healed));
         f.read_page(t, &mut d, 5, 128).unwrap();
@@ -1142,16 +1137,31 @@ mod tests {
     }
 
     #[test]
+    fn healed_read_completes_at_the_heal_program() {
+        // The page-map heal migrates the page through the write path
+        // before the read is acknowledged.
+        let (mut d, mut f) = setup();
+        f.set_redundancy(&d, Some(RainConfig::default()));
+        f.set_integrity(true);
+        let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
+        assert_eq!(t, Cycle(121_026));
+        d.mark_page_corrupt(f.locate(5).unwrap()).unwrap();
+        let t = f.read_page(t, &mut d, 5, 128).unwrap();
+        assert_eq!(t, Cycle(246_912));
+        assert_eq!(f.read_page(t, &mut d, 5, 128).unwrap(), Cycle(251_042));
+    }
+
+    #[test]
     fn gc_never_launders_corruption() {
         let (mut d, mut f) = setup();
         f.set_integrity(true);
         let t = f.write_page(Cycle(0), &mut d, 5).unwrap();
-        let addr = f.translate(5).unwrap();
+        let addr = f.locate(5).unwrap();
         d.mark_page_corrupt(addr).unwrap();
         // Seal the stricken block and migrate its one live page.
         f.seal_active(addr.block);
         let t = f.gc(t, &mut d).unwrap();
-        let moved = f.translate(5).unwrap();
+        let moved = f.locate(5).unwrap();
         assert_ne!(moved.block, addr.block);
         assert!(
             d.page_is_corrupt(moved),
@@ -1227,16 +1237,16 @@ mod tests {
         let (mut d, mut f) = setup();
         f.set_integrity(true);
         let t1 = f.write_page(Cycle(0), &mut d, 9).unwrap();
-        let a1 = f.translate(9).unwrap();
+        let a1 = f.locate(9).unwrap();
         let t2 = f.write_page(t1, &mut d, 9).unwrap();
-        let a2 = f.translate(9).unwrap();
+        let a2 = f.locate(9).unwrap();
         d.mark_page_corrupt(a2).unwrap();
         d.power_loss(t2);
         let rep = f.recover(t2, &mut d).unwrap();
         assert_eq!(rep.corrupt_quarantined, 1);
         assert_eq!(f.integrity_counters().quarantined, 1);
         assert_eq!(
-            f.translate(9),
+            f.locate(9),
             Some(a1),
             "rolls back to the newest intact copy"
         );
@@ -1252,7 +1262,7 @@ mod tests {
             t = f.write_page(t, &mut d, i % 256).unwrap();
         }
         for lpn in 0..256 {
-            assert!(f.translate(lpn).is_some());
+            assert!(f.locate(lpn).is_some());
             f.read_page(t, &mut d, lpn, 128).unwrap();
         }
     }
@@ -1270,7 +1280,7 @@ mod tests {
     fn live_on_suspect(f: &PageMapFtl) -> usize {
         (0..256u64)
             .filter(|&l| {
-                f.translate(l)
+                f.locate(l)
                     .is_some_and(|a| a.block.channel.index() == 0 && a.block.die.index() == 0)
             })
             .count()

@@ -32,7 +32,7 @@ use zng_types::{BlockAddr, Cycle, Error, FlashAddr, Result};
 
 use crate::allocator::{BlockAllocator, WearPolicy};
 use crate::densemap::DenseMap;
-use crate::maintenance::{verify_read, FtlServices, Mapping};
+use crate::maintenance::{verify_read, FtlServices, Heal, Mapping};
 use crate::pacing::GcPacing;
 use crate::recovery::{Scan, ScannedBlock};
 use crate::refresh::RefreshReason;
@@ -297,10 +297,18 @@ impl ZngFtl {
         let (addr, cam) = self.resolve(device, vpn)?;
         device.try_admit(now, addr.block.channel)?;
         let done = self.read_media(now + cam, device, addr, vpn, transfer_bytes)?;
-        // A mismatch heals through the log path: a corrupt log slot is
-        // invalidated outright, a corrupt data page is outranked by the
-        // new log copy until the next merge erases it.
-        let done = verify_read(self, done, device, addr, vpn, transfer_bytes, true)?;
+        // A mismatch heals through the log path in the background: a
+        // corrupt log slot is invalidated outright, a corrupt data page is
+        // outranked by the new log copy until the next merge erases it.
+        let done = verify_read(
+            self,
+            done,
+            device,
+            addr,
+            vpn,
+            transfer_bytes,
+            Heal::Background,
+        )?;
         device.note_inflight(addr.block.channel, done);
         Ok(done)
     }
@@ -413,7 +421,7 @@ impl ZngFtl {
         // The RMW fetch is a consumer too: merging a corrupt payload
         // would launder the corruption into the new log page. No healing
         // rewrite — the merged program below supersedes the page anyway.
-        let fetched = verify_read(self, fetched, device, src, vpn, page_bytes, false)?;
+        let fetched = verify_read(self, fetched, device, src, vpn, page_bytes, Heal::Skip)?;
         self.program_log_page(fetched, device, vpn, group)?;
         Ok(WriteResult {
             done: fetched + Cycle(600),
@@ -1424,6 +1432,22 @@ mod tests {
         assert!(!d.page_is_corrupt(healed));
         f.read(t, &mut d, 100, 128).unwrap();
         assert_eq!(f.integrity_counters().detected, 1);
+    }
+
+    #[test]
+    fn healed_read_completes_at_reconstruction() {
+        // The heal is a background log program: the demand read completes
+        // when reconstruction does, and only the next read of the die
+        // waits for the program.
+        let (mut d, mut f) = setup(WriteMode::Direct);
+        f.set_redundancy(&d, Some(RainConfig::default()));
+        f.set_integrity(true);
+        let t = f.read(Cycle(0), &mut d, 100, 128).unwrap();
+        assert_eq!(t, Cycle(4_130));
+        d.mark_page_corrupt(f.locate(100).unwrap()).unwrap();
+        let t = f.read(t, &mut d, 100, 128).unwrap();
+        assert_eq!(t, Cycle(5_390));
+        assert_eq!(f.read(t, &mut d, 100, 128).unwrap(), Cycle(10_122));
     }
 
     #[test]

@@ -90,11 +90,6 @@ impl NvmeSsd {
         &self.ftl
     }
 
-    /// Applies a fault-injection configuration to the flash media.
-    pub fn apply_faults(&mut self, cfg: &zng_flash::FaultConfig) {
-        self.device.set_fault_config(cfg);
-    }
-
     /// The page-level FTL and the flash it manages, for the shared
     /// maintenance, configuration and fault paths
     /// ([`zng_ftl::Mapping`]).

@@ -60,7 +60,7 @@ fn pagemap_ftl_keeps_mapping_bijective_under_gc() {
     // All lpns map to distinct, valid flash pages.
     let mut seen = std::collections::HashSet::new();
     for lpn in 0..128u64 {
-        let addr = f.translate(lpn).expect("mapped");
+        let addr = f.locate(lpn).expect("mapped");
         assert!(seen.insert(addr), "two lpns map to {addr}");
         let block = d.block(addr.block).expect("block exists");
         assert!(block.is_valid(addr.page), "mapped page must be valid");

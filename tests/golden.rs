@@ -34,6 +34,9 @@
 //!       --checkpoint-every 25 --health 25 \
 //!       --degrading-die 1:0:0:10000000 --crash-at 100 \
 //!       > tests/golden/run_degraded_$p.json
+//!   ./target/release/zng-cli run -p $p -w betw --warps 8 --ops 40 \
+//!       --footprint 128 --json --redundancy --sdc-rate 0.2 \
+//!       > tests/golden/run_sdc_$p.json
 //! done
 //! ```
 
@@ -244,4 +247,19 @@ fn degraded_hetero_run_matches_golden() {
         &golden("run_degraded_hetero.json"),
         "degraded hetero run",
     );
+}
+
+/// Pins verified reads that reconstruct and heal silently corrupted
+/// pages on every FTL platform: the healed read's completion time, the
+/// heal's rewrite and the integrity counters.
+#[test]
+fn healed_corruption_runs_match_goldens() {
+    for platform in ["zng", "hybridgpu", "hetero"] {
+        let got = run_cli(&["-p", platform, "--redundancy", "--sdc-rate", "0.2"]);
+        assert_bytes_match(
+            &got,
+            &golden(&format!("run_sdc_{platform}.json")),
+            &format!("healed-corruption {platform} run"),
+        );
+    }
 }

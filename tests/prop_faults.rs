@@ -101,7 +101,7 @@ fn check_pagemap(seed: u64, eol: bool, writes: &[u64]) -> Result<(), TestCaseErr
         match f.write_page(t, &mut d, lpn) {
             Ok(done) => {
                 t = done;
-                let addr = f.translate(lpn).expect("acked write must be mapped");
+                let addr = f.locate(lpn).expect("acked write must be mapped");
                 let stamp = d
                     .page_stamp(addr)
                     .expect("page-level FTL programs always stamp");
@@ -114,7 +114,7 @@ fn check_pagemap(seed: u64, eol: bool, writes: &[u64]) -> Result<(), TestCaseErr
     }
 
     for (&lpn, &(_, ack_seq)) in &acked {
-        let addr = f.translate(lpn);
+        let addr = f.locate(lpn);
         prop_assert!(addr.is_some(), "acked lpn {lpn} lost its mapping");
         let stamp = d.page_stamp(addr.unwrap());
         prop_assert!(stamp.is_some(), "acked lpn {lpn} points at unstamped media");

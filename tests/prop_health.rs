@@ -94,7 +94,7 @@ impl Ftl {
     fn locate(&self, lpn: u64) -> Option<zng_types::FlashAddr> {
         match self {
             Ftl::Zng(f) => f.locate(lpn),
-            Ftl::Map(f) => f.translate(lpn),
+            Ftl::Map(f) => f.locate(lpn),
         }
     }
 

@@ -74,7 +74,7 @@ impl Ftl {
     fn locate(&self, lpn: u64) -> Option<zng_types::FlashAddr> {
         match self {
             Ftl::Zng(f) => f.locate(lpn),
-            Ftl::Map(f) => f.translate(lpn),
+            Ftl::Map(f) => f.locate(lpn),
         }
     }
 
@@ -327,7 +327,7 @@ fn integrity_off_serves_corruption_silently() {
     let mut d = device(0, 0);
     let mut f = PageMapFtl::new(&d);
     let mut t = f.write_page(Cycle::ZERO, &mut d, 7).unwrap();
-    let addr = f.translate(7).unwrap();
+    let addr = f.locate(7).unwrap();
     d.mark_page_corrupt(addr).unwrap();
     t = f
         .read_page(t, &mut d, 7, 128)
