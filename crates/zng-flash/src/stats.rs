@@ -339,25 +339,6 @@ impl FlashStats {
         let secs = now.raw() as f64 / freq.hz();
         (self.bytes_read + self.bytes_programmed) as f64 / 1e9 / secs
     }
-
-    /// Clears all counters.
-    pub fn reset(&mut self) {
-        self.page_reads.clear();
-        self.page_programs.clear();
-        self.bytes_read = 0;
-        self.bytes_programmed = 0;
-        self.read_retries = 0;
-        self.retry_depth = [0; RETRY_DEPTH_BUCKETS];
-        self.uncorrectable_reads = 0;
-        self.program_failures = 0;
-        self.erase_failures = 0;
-        self.power_losses = 0;
-        self.pages_torn = 0;
-        self.silent_corruptions = 0;
-        self.disturb_reads = 0;
-        self.disturb_triggered_errors = 0;
-        self.die_health.clear();
-    }
 }
 
 #[cfg(test)]
@@ -407,31 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears() {
-        let mut s = FlashStats::new();
-        s.record_read(1, 10);
-        s.record_program(1, 10);
-        s.record_read_retries(3);
-        s.record_uncorrectable_read();
-        s.record_program_failure();
-        s.record_erase_failure();
-        assert_eq!(s.read_retries(), 3);
-        assert_eq!(s.uncorrectable_reads(), 1);
-        assert_eq!(s.program_failures(), 1);
-        assert_eq!(s.erase_failures(), 1);
-        s.reset();
-        assert_eq!(s.total_reads(), 0);
-        assert_eq!(s.total_programs(), 0);
-        assert_eq!(s.bytes_programmed(), 0);
-        assert_eq!(s.read_retries(), 0);
-        assert_eq!(s.retry_depth_histogram(), [0; RETRY_DEPTH_BUCKETS]);
-        assert_eq!(s.uncorrectable_reads(), 0);
-        assert_eq!(s.program_failures(), 0);
-        assert_eq!(s.erase_failures(), 0);
-    }
-
-    #[test]
-    fn disturb_counters_accumulate_and_reset() {
+    fn disturb_counters_accumulate() {
         let mut s = FlashStats::new();
         assert_eq!(s.disturb_reads(), 0);
         assert_eq!(s.disturb_triggered_errors(), 0);
@@ -440,9 +397,6 @@ mod tests {
         s.record_disturb_triggered_error();
         assert_eq!(s.disturb_reads(), 2);
         assert_eq!(s.disturb_triggered_errors(), 1);
-        s.reset();
-        assert_eq!(s.disturb_reads(), 0);
-        assert_eq!(s.disturb_triggered_errors(), 0);
     }
 
     #[test]
@@ -475,9 +429,6 @@ mod tests {
         assert_eq!(sorted.len(), 2);
         assert_eq!(sorted[0].0, (0, 0));
         assert_eq!(sorted[1].0, (1, 3));
-        s.reset();
-        assert!(s.die_health_sorted().is_empty());
-        assert_eq!(s.die_health(0, 0), DieHealth::default());
     }
 
     #[test]

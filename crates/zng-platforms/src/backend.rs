@@ -1,10 +1,7 @@
 //! Platform-specific memory backends (the path below the shared L2).
 
-use zng_flash::{EnduranceReport, FlashDevice, RegisterTopology, DISTURB_READS_PER_CYCLE};
-use zng_ftl::{
-    CheckpointCounters, EnduranceCounters, GcReport, HealthCounters, IntegrityCounters, Mapping,
-    RainConfig, RainCounters, RecoveryReport, RefreshPolicy, WriteMode, ZngFtl,
-};
+use zng_flash::{FlashDevice, RegisterTopology, DISTURB_READS_PER_CYCLE};
+use zng_ftl::{GcReport, Mapping, RainConfig, RecoveryReport, RefreshPolicy, WriteMode, ZngFtl};
 use zng_mem::{MemSubsystem, MemTiming, PcieLink};
 use zng_ssd::{NvmeSsd, PageBuffer, SsdModule};
 use zng_types::ids::{ChannelId, DieId};
@@ -197,21 +194,14 @@ impl Backend {
     }
 
     /// The flash FTL behind the shared maintenance interface, with the
-    /// device it manages; `None` on flashless platforms.
-    fn flash(&self) -> Option<(&dyn Mapping, &FlashDevice)> {
+    /// device it manages; `None` on flashless platforms. Every FTL and
+    /// device counter a run reports is read through this one borrow.
+    pub fn flash(&self) -> Option<(&dyn Mapping, &FlashDevice)> {
         match self {
             Backend::Zng { device, ftl, .. } => Some((ftl, device)),
             Backend::HybridGpu { ssd } => Some((ssd.ftl(), ssd.device())),
             Backend::Hetero { ssd, .. } => Some((ssd.ftl(), ssd.device())),
             Backend::Ideal { .. } | Backend::Optane { .. } => None,
-        }
-    }
-
-    /// Installs (or removes, with `None`) RAIN redundancy on the flash
-    /// FTL. A no-op on flashless platforms.
-    pub fn set_redundancy(&mut self, config: Option<RainConfig>) {
-        if let Some((ftl, device)) = self.flash_mut() {
-            ftl.set_redundancy(device, config);
         }
     }
 
@@ -395,22 +385,6 @@ impl Backend {
         }
     }
 
-    /// Garbage collections performed by the backend's FTL.
-    pub fn gcs(&self) -> u64 {
-        self.flash().map_or(0, |(ftl, _)| ftl.gcs())
-    }
-
-    /// Blocks the backend's FTL permanently retired after failed
-    /// programs/erases.
-    pub fn blocks_retired(&self) -> u64 {
-        self.flash().map_or(0, |(ftl, _)| ftl.blocks_retired())
-    }
-
-    /// Writes the backend's FTL re-drove after program failures.
-    pub fn write_redrives(&self) -> u64 {
-        self.flash().map_or(0, |(ftl, _)| ftl.write_redrives())
-    }
-
     /// Admissions refused by bounded queues (channels, network links,
     /// the SSD-module dispatcher). Zero without a bounded [`QosConfig`].
     ///
@@ -428,22 +402,6 @@ impl Backend {
         match self {
             Backend::Zng { device, .. } => device.qos_max_occupancy(),
             Backend::HybridGpu { ssd } => ssd.qos_max_occupancy(),
-            _ => 0,
-        }
-    }
-
-    /// Log-block merges that overran their pacing deadline.
-    pub fn gc_deadline_misses(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.gc_deadline_misses(),
-            _ => 0,
-        }
-    }
-
-    /// Log-block merges that ran under a pacing budget.
-    pub fn paced_gcs(&self) -> u64 {
-        match self {
-            Backend::Zng { ftl, .. } => ftl.paced_gcs(),
             _ => 0,
         }
     }
@@ -530,62 +488,6 @@ impl Backend {
         self.flash_mut()
             .map_or(Ok(now), |(ftl, device)| ftl.health_step(now, device))
     }
-
-    /// The health monitor's counters, when the subsystem is on.
-    pub fn health_counters(&self) -> Option<HealthCounters> {
-        self.flash().and_then(|(ftl, _)| ftl.health_counters())
-    }
-
-    /// The dies currently quarantined by the health monitor, sorted.
-    pub fn quarantined_dies(&self) -> Vec<(u16, u16)> {
-        self.flash()
-            .map(|(ftl, _)| ftl.quarantined_dies())
-            .unwrap_or_default()
-    }
-
-    /// The checkpoint writer's counters, when the subsystem is on.
-    pub fn checkpoint_counters(&self) -> Option<CheckpointCounters> {
-        self.flash().and_then(|(ftl, _)| ftl.checkpoint_counters())
-    }
-
-    /// The endurance scheduler's counters, when the subsystem is on.
-    pub fn endurance_counters(&self) -> Option<EnduranceCounters> {
-        self.flash().and_then(|(ftl, _)| ftl.endurance_counters())
-    }
-
-    /// The device's wear histogram, if this platform has flash.
-    pub fn endurance_report(&self) -> Option<EnduranceReport> {
-        self.flash_device().map(FlashDevice::endurance)
-    }
-
-    /// The integrity layer's counters, when verification is enabled.
-    pub fn integrity_counters(&self) -> Option<IntegrityCounters> {
-        let (ftl, _) = self.flash()?;
-        ftl.integrity_enabled().then(|| ftl.integrity_counters())
-    }
-
-    /// Silently miscorrected pages injected into the flash arrays.
-    pub fn silent_corruptions(&self) -> u64 {
-        self.flash_device()
-            .map_or(0, |d| d.stats().silent_corruptions())
-    }
-
-    /// The redundancy subsystem's counters, when RAIN is installed.
-    pub fn rain_counters(&self) -> Option<RainCounters> {
-        self.flash()
-            .and_then(|(ftl, _)| ftl.redundancy().map(|r| r.counters()))
-    }
-
-    /// Reads that targeted a dead die (each one forced a reconstruction
-    /// or an uncorrectable error).
-    pub fn dead_die_reads(&self) -> u64 {
-        self.flash_device().map_or(0, FlashDevice::dead_die_reads)
-    }
-
-    /// Transfers that detoured around a severed flash network link.
-    pub fn rerouted_transfers(&self) -> u64 {
-        self.flash_device().map_or(0, |d| d.network().rerouted())
-    }
 }
 
 #[cfg(test)]
@@ -664,7 +566,7 @@ mod tests {
             assert!(w.gc.is_none(), "free GC never surfaces");
             t = w.done;
         }
-        assert!(b.gcs() > 0, "GC still ran internally");
+        assert!(b.flash().unwrap().0.gcs() > 0, "GC still ran internally");
     }
 
     #[test]

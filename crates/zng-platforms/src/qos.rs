@@ -120,9 +120,16 @@ impl QosConfig {
     ///
     /// # Errors
     ///
-    /// Rejects a zero backoff base (retries would never advance time) and
-    /// a cap below the base.
+    /// Rejects a zero queue depth (nothing could ever be admitted), a
+    /// zero backoff base (retries would never advance time) and a cap
+    /// below the base.
     pub fn validate(&self) -> Result<()> {
+        if self.queue_depth == Some(0) {
+            return Err(Error::invalid_config(
+                "qos.queue_depth",
+                "must be positive or no request can ever be admitted",
+            ));
+        }
         if self.backoff_base == Cycle::ZERO {
             return Err(Error::invalid_config(
                 "qos.backoff_base",

@@ -12,7 +12,8 @@ use std::collections::BTreeMap;
 use std::time::Instant;
 
 use fxhash::FxHashMap;
-use zng_ftl::GcReport;
+use zng_flash::{FlashDevice, FlashStats};
+use zng_ftl::{GcReport, ZngFtl};
 use zng_gpu::{
     AccessMonitor, GpuConfig, Interconnect, L2Cache, L2Technology, Mmu, Mshr, Predictor,
     PrefetchPolicy, Sm, Warp, WarpOp,
@@ -25,12 +26,12 @@ use zng_types::{
 use zng_workloads::MultiApp;
 
 use crate::backend::{Backend, BackendWrite};
-use crate::config::{EnduranceConfig, PlatformKind, RedundancyConfig, SimConfig};
+use crate::config::{PlatformKind, SimConfig};
 use crate::metrics::{
     CheckpointSummary, CrashRecoverySummary, DieBreakdown, EnduranceSummary, HealthSummary,
     IntegritySummary, PerfSummary, RedundancySummary, RunResult,
 };
-use crate::qos::{FairShare, QosConfig, QosSummary};
+use crate::qos::{FairShare, QosSummary};
 
 /// Time-series bucket width for Fig. 17b (10 µs at 1.2 GHz).
 const SERIES_INTERVAL: Cycle = Cycle(12_000);
@@ -42,6 +43,47 @@ const REDIRECT_PROBE: u64 = 8;
 const REDIRECT_CAP: u64 = 4096;
 /// Redirected lines drained back to the registers per drain opportunity.
 const DRAIN_CHUNK: usize = 256;
+
+/// A background maintenance subsystem the runner steps at a
+/// request-count cadence.
+#[derive(Debug, Clone, Copy)]
+enum Subsystem {
+    /// Patrol scrub (redundancy).
+    Scrub,
+    /// Refresh-scheduler step: disturb/retention threshold scan → block
+    /// refresh, or one static-levelling migration (endurance).
+    Refresh,
+    /// One mapping snapshot into the reserved checkpoint namespace.
+    Checkpoint,
+    /// Predictive-health tick: score the per-die telemetry, fence freshly
+    /// dead dies, evacuate one victim block off a suspect and
+    /// rehabilitate false positives.
+    Health,
+}
+
+impl Subsystem {
+    /// Runs one step on `backend`; returns the foreground stall horizon.
+    fn step(self, backend: &mut Backend, now: Cycle) -> Result<Cycle> {
+        match self {
+            Subsystem::Scrub => backend.scrub_step(now),
+            Subsystem::Refresh => backend.refresh_step(now),
+            Subsystem::Checkpoint => Ok(backend.checkpoint_step(now)),
+            Subsystem::Health => backend.health_step(now),
+        }
+    }
+}
+
+/// One row of the runner's maintenance table.
+#[derive(Debug, Clone, Copy)]
+struct Maintenance {
+    subsystem: Subsystem,
+    /// Cadence, keyed to completed requests; disarmed when the subsystem
+    /// is off.
+    ticker: PatrolTicker,
+    /// Host seconds inside this subsystem's steps in the current run
+    /// (timed under `--perf` only).
+    host_s: f64,
+}
 
 /// One platform instance ready to run workloads.
 #[derive(Debug)]
@@ -64,18 +106,17 @@ pub struct Simulation {
     thrash_mode: bool,
     pinned_dirty: u64,
     gc_reports: Vec<GcReport>,
+    /// The configuration this platform was built from: QoS policy,
+    /// failure injection, watchdog budget and which opt-in summaries the
+    /// result carries.
+    cfg: SimConfig,
     crash_switch: CrashSwitch,
     crash_summary: Option<CrashRecoverySummary>,
-    /// Redundancy policy. [`RedundancyConfig::off`] (the default) makes
-    /// every self-healing hook below a no-op.
-    redundancy: RedundancyConfig,
     /// One-shot die-failure trigger (`die_fail_at`).
     die_switch: CrashSwitch,
-    /// Patrol-scrub cadence, keyed to completed requests.
-    patrol: PatrolTicker,
-    /// Overload-control policy. [`QosConfig::unbounded`] (the default)
-    /// makes every QoS hook below a no-op.
-    qos: QosConfig,
+    /// The background maintenance subsystems, polled in this order at
+    /// every event.
+    maintenance: [Maintenance; 4],
     /// Backoff retries performed after [`Error::Backpressure`] rejections.
     qos_retried: u64,
     /// Requests whose backoff budget ran out (they then waited for the
@@ -89,34 +130,11 @@ pub struct Simulation {
     gc_credit_exhausted: u64,
     /// Remaining foreground-stall credit per victim app (GC pacing).
     gc_credits: FxHashMap<u16, u64>,
-    /// Watchdog budget: abort with [`Error::Stalled`] when the event loop
-    /// advances this many cycles past the last completed request.
-    watchdog: Option<u64>,
-    /// End-to-end integrity verification enabled (`--integrity`).
-    integrity_on: bool,
     /// L2 lines poisoned after unrecoverable integrity violations.
     poisoned_lines: u64,
-    /// Endurance policy. [`EnduranceConfig::off`] (the default) makes
-    /// every lifetime-management hook below a no-op.
-    endurance: EnduranceConfig,
-    /// Refresh-scheduler cadence, keyed to completed requests.
-    refresh_ticker: PatrolTicker,
     /// Writes refused after end-of-life capacity degradation (the
     /// workload keeps running; the device is read-only for new data).
     writes_refused: u64,
-    /// Mapping-checkpoint subsystem enabled (`--checkpoint`).
-    checkpoint_on: bool,
-    /// Checkpoint-writer cadence, keyed to completed requests.
-    checkpoint_ticker: PatrolTicker,
-    /// Predictive health monitor enabled (`--health`).
-    health_on: bool,
-    /// Health-monitor cadence, keyed to completed requests.
-    health_ticker: PatrolTicker,
-    /// Sim-throughput telemetry requested (`--perf`): attach a
-    /// [`PerfSummary`] to the result. The event counters below are
-    /// maintained unconditionally (integer adds); only the wall-clock
-    /// summary is gated so default output stays byte-identical.
-    perf_on: bool,
 }
 
 impl Simulation {
@@ -171,43 +189,37 @@ impl Simulation {
             thrash_mode: false,
             pinned_dirty: 0,
             gc_reports: Vec::new(),
+            cfg: *cfg,
             crash_switch: cfg
                 .crash_at
                 .map(CrashSwitch::at_ops)
                 .unwrap_or_else(CrashSwitch::disarmed),
             crash_summary: None,
-            redundancy: cfg.redundancy,
             die_switch: cfg
                 .redundancy
                 .die_fail_at
                 .map(CrashSwitch::at_ops)
                 .unwrap_or_else(CrashSwitch::disarmed),
-            patrol: PatrolTicker::every_ops(cfg.redundancy.scrub_every_ops),
-            qos: cfg.qos,
+            // Validation guarantees a disabled subsystem has no cadence,
+            // so its ticker never fires.
+            maintenance: [
+                (Subsystem::Scrub, cfg.redundancy.scrub_every_ops),
+                (Subsystem::Refresh, cfg.endurance.refresh_every_ops),
+                (Subsystem::Checkpoint, cfg.checkpoint.every_ops),
+                (Subsystem::Health, cfg.health.every_ops),
+            ]
+            .map(|(subsystem, every)| Maintenance {
+                subsystem,
+                ticker: PatrolTicker::every_ops(every),
+                host_s: 0.0,
+            }),
             qos_retried: 0,
             qos_budget_exhausted: 0,
             pinned_overflow_stalls: 0,
             gc_credit_exhausted: 0,
             gc_credits: FxHashMap::default(),
-            watchdog: cfg.watchdog,
-            integrity_on: cfg.integrity.enabled,
             poisoned_lines: 0,
-            endurance: cfg.endurance,
-            refresh_ticker: PatrolTicker::every_ops(cfg.endurance.refresh_every_ops),
             writes_refused: 0,
-            checkpoint_on: cfg.checkpoint.enabled,
-            checkpoint_ticker: PatrolTicker::every_ops(if cfg.checkpoint.enabled {
-                cfg.checkpoint.every_ops
-            } else {
-                0
-            }),
-            health_on: cfg.health.enabled,
-            health_ticker: PatrolTicker::every_ops(if cfg.health.enabled {
-                cfg.health.every_ops
-            } else {
-                0
-            }),
-            perf_on: cfg.perf,
         })
     }
 
@@ -242,7 +254,7 @@ impl Simulation {
         // Fairness gate: only built when a fairness window is configured;
         // `None` keeps the scheduling loop bit-identical to the
         // pre-QoS runner.
-        let mut fair = if self.qos.fair_window > 0 {
+        let mut fair = if self.cfg.qos.fair_window > 0 {
             let mut warps_per_app: BTreeMap<u16, u64> = BTreeMap::new();
             for w in &warps {
                 *warps_per_app.entry(w.app().raw()).or_insert(0) += 1;
@@ -253,8 +265,8 @@ impl Simulation {
         };
         // Exact latency percentiles store every sample; only pay for
         // them when a bounded QoS policy will report them.
-        let mut read_pct = (!self.qos.is_unbounded()).then(Percentiles::new);
-        let mut write_pct = (!self.qos.is_unbounded()).then(Percentiles::new);
+        let mut read_pct = (!self.cfg.qos.is_unbounded()).then(Percentiles::new);
+        let mut write_pct = (!self.cfg.qos.is_unbounded()).then(Percentiles::new);
 
         let mut last_cycle = Cycle::ZERO;
         let mut requests: u64 = 0;
@@ -285,10 +297,10 @@ impl Simulation {
         let mut perf_blocked: u64 = 0;
         let mut perf_maint: u64 = 0;
         let mut perf_skipped: u64 = 0;
-        // Host seconds per maintenance subsystem, timed under `--perf`
-        // only.
-        let (mut ckpt_s, mut refresh_s, mut scrub_s, mut health_s) = (0.0, 0.0, 0.0, 0.0);
-        let perf_on = self.perf_on;
+        for m in &mut self.maintenance {
+            m.host_s = 0.0;
+        }
+        let perf_on = self.cfg.perf;
         let lap = move || perf_on.then(Instant::now);
 
         // Same-cycle batch drain: pull every event sharing the front
@@ -306,7 +318,7 @@ impl Simulation {
             queue.pop_at(now, &mut batch);
             for &idx in &batch {
                 perf_events += 1;
-                Self::watchdog_check(self.watchdog, now, last_progress)?;
+                Self::watchdog_check(self.cfg.watchdog, now, last_progress)?;
                 // Power cut: fires once, at a request-count boundary. The
                 // storage side loses its volatile state and recovers from the
                 // OOB scan; the GPU side reboots with cold caches. Every app
@@ -316,7 +328,7 @@ impl Simulation {
                     let report = self.backend.crash_recover(now)?;
                     self.power_cut_gpu();
                     let resume = now + report.map(|r| r.scan_cycles).unwrap_or(Cycle::ZERO);
-                    self.block_all_apps(mix, resume);
+                    block_all_apps(&mut self.app_blocked_until, mix, resume);
                     let r = report.unwrap_or_default();
                     self.crash_summary = Some(CrashRecoverySummary {
                         at_requests: requests,
@@ -340,55 +352,22 @@ impl Simulation {
                 // reads reconstruct from surviving stripe members.
                 if self.die_switch.poll(requests) {
                     perf_maint += 1;
-                    let (ch, die) = self.redundancy.die_fail;
+                    let (ch, die) = self.cfg.redundancy.die_fail;
                     let fenced = self.backend.fail_die(now, ch, die)?;
-                    self.block_all_apps(mix, fenced);
+                    block_all_apps(&mut self.app_blocked_until, mix, fenced);
                 }
-                // Patrol scrub: one bounded step per cadence boundary. The
-                // step's media work always completes but the foreground
-                // stall is capped by the pacing budget when one is set.
-                if self.patrol.poll(requests) {
-                    perf_maint += 1;
-                    let t0 = lap();
-                    let horizon = self.backend.scrub_step(now)?;
-                    scrub_s += since(t0);
-                    self.block_all_apps(mix, horizon);
-                }
-                // Background refresh: one endurance-scheduler step per
-                // cadence boundary (disturb/retention threshold scan → block
-                // refresh, or one static-levelling migration). The media
-                // work always completes but the foreground stall is capped
-                // by the pacing budget when one is set.
-                if self.refresh_ticker.poll(requests) {
-                    perf_maint += 1;
-                    let t0 = lap();
-                    let horizon = self.backend.refresh_step(now)?;
-                    refresh_s += since(t0);
-                    self.block_all_apps(mix, horizon);
-                }
-                // Background checkpoint: one mapping snapshot per cadence
-                // boundary into the reserved checkpoint namespace. The
-                // media work always completes but the foreground stall is
-                // capped by the pacing budget when one is set.
-                if self.checkpoint_ticker.poll(requests) {
-                    perf_maint += 1;
-                    let t0 = lap();
-                    let horizon = self.backend.checkpoint_step(now);
-                    ckpt_s += since(t0);
-                    self.block_all_apps(mix, horizon);
-                }
-                // Predictive health: one monitor tick per cadence boundary —
-                // score the per-die telemetry, fence freshly dead dies,
-                // evacuate one victim block off a suspect (when evacuation is
-                // on) and rehabilitate false positives. The media work always
-                // completes but the foreground stall is capped by the pacing
-                // budget when one is set.
-                if self.health_ticker.poll(requests) {
-                    perf_maint += 1;
-                    let t0 = lap();
-                    let horizon = self.backend.health_step(now)?;
-                    health_s += since(t0);
-                    self.block_all_apps(mix, horizon);
+                // Background maintenance, in table order: one bounded step
+                // per cadence boundary. The media work always completes but
+                // the foreground stall is capped by the pacing budget when
+                // one is set.
+                for m in &mut self.maintenance {
+                    if m.ticker.poll(requests) {
+                        perf_maint += 1;
+                        let t0 = lap();
+                        let horizon = m.subsystem.step(&mut self.backend, now)?;
+                        m.host_s += since(t0);
+                        block_all_apps(&mut self.app_blocked_until, mix, horizon);
+                    }
                 }
                 if warps[idx].is_done() {
                     perf_skipped += 1;
@@ -433,10 +412,10 @@ impl Simulation {
                 // lag (starvation freedom).
                 if let Some(f) = fair.as_mut() {
                     if matches!(warps[idx].current_op(), Some(WarpOp::Mem { .. }))
-                        && f.should_throttle(app.raw(), &self.qos, self.qos.fair_window)
+                        && f.should_throttle(app.raw(), &self.cfg.qos, self.cfg.qos.fair_window)
                     {
                         perf_blocked += 1;
-                        queue.schedule(now + self.qos.backoff_base, idx);
+                        queue.schedule(now + self.cfg.qos.backoff_base, idx);
                         continue;
                     }
                 }
@@ -523,7 +502,7 @@ impl Simulation {
         // helper threads re-create every page stranded on dead dies onto
         // healthy spare blocks (maintenance time, not charged to the
         // run's cycle count).
-        if self.redundancy.enabled && self.die_switch.fired() {
+        if self.cfg.redundancy.enabled && self.die_switch.fired() {
             self.backend.rebuild_dead_die(last_cycle)?;
         }
 
@@ -537,44 +516,27 @@ impl Simulation {
         }
         let cycles = last_cycle.max(Cycle(1));
 
-        let (flash_gbps, reads_pp, progs_pp) = match self.backend.flash_device() {
-            Some(d) => (
-                d.stats().array_gbps(cycles, self.freq),
-                d.stats().mean_reads_per_page(),
-                d.stats().mean_programs_per_page(),
-            ),
-            None => (0.0, 0.0, 0.0),
-        };
-        let (read_retries, uncorrectable_reads, program_failures, erase_failures) =
-            match self.backend.flash_device() {
-                Some(d) => (
-                    d.stats().read_retries(),
-                    d.stats().uncorrectable_reads(),
-                    d.stats().program_failures(),
-                    d.stats().erase_failures(),
-                ),
-                None => (0, 0, 0, 0),
-            };
-        let gc_events = self
-            .backend
-            .zng_ftl()
-            .map(|f| f.gc_events().to_vec())
-            .unwrap_or_default();
-
+        // Every FTL and device counter is read through this one borrow;
+        // flashless platforms report zeros and an even wear spread.
+        let flash = self.backend.flash();
+        let ftl = flash.map(|(ftl, _)| ftl);
+        let device = flash.map(|(_, device)| device);
+        let stats = device.map(FlashDevice::stats);
+        let [scrub, refresh, ckpt, monitor] = self.maintenance;
         let mean = |m: &BTreeMap<u16, (u64, u64)>| -> BTreeMap<u16, f64> {
             m.iter()
                 .map(|(&a, &(sum, n))| (a, sum as f64 / n.max(1) as f64))
                 .collect()
         };
-        let qos = (!self.qos.is_unbounded()).then(|| QosSummary {
+        let qos = (!self.cfg.qos.is_unbounded()).then(|| QosSummary {
             rejected: self.backend.qos_rejections(),
             retried: self.qos_retried,
             retry_budget_exhausted: self.qos_budget_exhausted,
             mshr_stalls: self.sms.iter().map(|s| s.mshr().full_stalls()).sum::<u64>()
                 + self.page_mshr.full_stalls(),
             pinned_overflow_stalls: self.pinned_overflow_stalls,
-            gc_deadline_misses: self.backend.gc_deadline_misses(),
-            paced_gcs: self.backend.paced_gcs(),
+            gc_deadline_misses: self.backend.zng_ftl().map_or(0, ZngFtl::gc_deadline_misses),
+            paced_gcs: self.backend.zng_ftl().map_or(0, ZngFtl::paced_gcs),
             gc_credit_exhausted: self.gc_credit_exhausted,
             fairness_throttles: fair.as_ref().map(FairShare::throttles).unwrap_or(0),
             max_service_lag: fair.as_ref().map(FairShare::max_lag).unwrap_or(0),
@@ -586,8 +548,10 @@ impl Simulation {
             write_p95: write_pct.as_mut().map(|p| p.percentile(0.95)).unwrap_or(0),
             write_p99: write_pct.as_mut().map(|p| p.percentile(0.99)).unwrap_or(0),
         });
-        let redundancy = self.redundancy.enabled.then(|| {
-            let c = self.backend.rain_counters().unwrap_or_default();
+        let redundancy = self.cfg.redundancy.enabled.then(|| {
+            let c = ftl
+                .and_then(|f| f.redundancy().map(|r| r.counters()))
+                .unwrap_or_default();
             RedundancySummary {
                 reconstructions: c.reconstructions,
                 reconstruction_reads: c.reconstruction_reads,
@@ -595,23 +559,21 @@ impl Simulation {
                 scrub_scanned: c.scrub_scanned,
                 scrub_rewrites: c.scrub_rewrites,
                 scrub_overruns: c.scrub_overruns,
-                scrub_ticks: self.patrol.ticks(),
+                scrub_ticks: scrub.ticker.ticks(),
                 rebuild_pages: c.rebuild_pages,
                 degraded_reads: c.degraded_reads,
                 fenced_blocks: c.fenced_blocks,
-                dead_die_reads: self.backend.dead_die_reads(),
-                rerouted_transfers: self.backend.rerouted_transfers(),
-                retry_depth_histogram: self
-                    .backend
-                    .flash_device()
-                    .map(|d| d.stats().retry_depth_histogram())
+                dead_die_reads: device.map_or(0, FlashDevice::dead_die_reads),
+                rerouted_transfers: device.map_or(0, |d| d.network().rerouted()),
+                retry_depth_histogram: stats
+                    .map(FlashStats::retry_depth_histogram)
                     .unwrap_or_default(),
             }
         });
-        let integrity = self.integrity_on.then(|| {
-            let c = self.backend.integrity_counters().unwrap_or_default();
+        let integrity = self.cfg.integrity.enabled.then(|| {
+            let c = ftl.map(|f| f.integrity_counters()).unwrap_or_default();
             IntegritySummary {
-                silent_corruptions: self.backend.silent_corruptions(),
+                silent_corruptions: stats.map_or(0, FlashStats::silent_corruptions),
                 detected: c.detected,
                 rereads: c.rereads,
                 reconstructed: c.reconstructed,
@@ -619,21 +581,11 @@ impl Simulation {
                 poisoned_lines: self.poisoned_lines,
             }
         });
-        let endurance = self.endurance.enabled.then(|| {
-            let c = self.backend.endurance_counters().unwrap_or_default();
-            let rep = self.backend.endurance_report();
-            let (disturb_reads, disturb_triggered_errors) = self
-                .backend
-                .flash_device()
-                .map(|d| {
-                    (
-                        d.stats().disturb_reads(),
-                        d.stats().disturb_triggered_errors(),
-                    )
-                })
-                .unwrap_or((0, 0));
+        let endurance = self.cfg.endurance.enabled.then(|| {
+            let c = ftl.and_then(|f| f.endurance_counters()).unwrap_or_default();
+            let rep = device.map(FlashDevice::endurance);
             EnduranceSummary {
-                refresh_ticks: self.refresh_ticker.ticks(),
+                refresh_ticks: refresh.ticker.ticks(),
                 refreshes: c.refreshes,
                 disturb_refreshes: c.disturb_refreshes,
                 retention_refreshes: c.retention_refreshes,
@@ -643,18 +595,20 @@ impl Simulation {
                 refresh_overruns: c.refresh_overruns,
                 capacity_steps: c.capacity_steps,
                 writes_refused: self.writes_refused,
-                disturb_reads,
-                disturb_triggered_errors,
-                wear_max: rep.map(|r| r.worst_wear_fraction()).unwrap_or(0.0),
-                wear_mean: rep.map(|r| r.mean_wear_fraction()).unwrap_or(0.0),
-                wear_min: rep.map(|r| r.min_wear_fraction()).unwrap_or(0.0),
-                wear_spread: rep.map(|r| r.wear_spread()).unwrap_or(1.0),
+                disturb_reads: stats.map_or(0, FlashStats::disturb_reads),
+                disturb_triggered_errors: stats.map_or(0, FlashStats::disturb_triggered_errors),
+                wear_max: rep.map_or(0.0, |r| r.worst_wear_fraction()),
+                wear_mean: rep.map_or(0.0, |r| r.mean_wear_fraction()),
+                wear_min: rep.map_or(0.0, |r| r.min_wear_fraction()),
+                wear_spread: rep.map_or(1.0, |r| r.wear_spread()),
             }
         });
-        let checkpoint = self.checkpoint_on.then(|| {
-            let c = self.backend.checkpoint_counters().unwrap_or_default();
+        let checkpoint = self.cfg.checkpoint.enabled.then(|| {
+            let c = ftl
+                .and_then(|f| f.checkpoint_counters())
+                .unwrap_or_default();
             CheckpointSummary {
-                checkpoint_ticks: self.checkpoint_ticker.ticks(),
+                checkpoint_ticks: ckpt.ticker.ticks(),
                 checkpoints: c.checkpoints,
                 checkpoint_pages: c.checkpoint_pages,
                 journal_records: c.journal_records,
@@ -664,7 +618,7 @@ impl Simulation {
                 aborted: c.aborted,
             }
         });
-        let perf = self.perf_on.then(|| {
+        let perf = self.cfg.perf.then(|| {
             let wall = wall_start.elapsed().as_secs_f64();
             PerfSummary {
                 wall_seconds: wall,
@@ -676,44 +630,39 @@ impl Simulation {
                 blocked_events: perf_blocked,
                 maintenance_events: perf_maint,
                 skipped_events: perf_skipped,
-                maint_checkpoint_s: ckpt_s,
-                maint_refresh_s: refresh_s,
-                maint_scrub_s: scrub_s,
-                maint_health_s: health_s,
+                maint_checkpoint_s: ckpt.host_s,
+                maint_refresh_s: refresh.host_s,
+                maint_scrub_s: scrub.host_s,
+                maint_health_s: monitor.host_s,
             }
         });
-        let health = self.health_on.then(|| {
-            let c = self.backend.health_counters().unwrap_or_default();
-            let per_die = self
-                .backend
-                .flash_device()
-                .map(|d| {
-                    d.stats()
-                        .die_health_sorted()
-                        .iter()
-                        .map(|&((channel, die), h)| DieBreakdown {
-                            channel,
-                            die,
-                            reads: h.reads,
-                            retry_steps: h.retry_steps,
-                            uncorrectable_reads: h.uncorrectable_reads,
-                            programs: h.programs,
-                            program_failures: h.program_failures,
-                            erases: h.erases,
-                            erase_failures: h.erase_failures,
-                        })
-                        .collect()
-                })
-                .unwrap_or_default();
+        let health = self.cfg.health.enabled.then(|| {
+            let c = ftl.and_then(|f| f.health_counters()).unwrap_or_default();
+            let per_die = stats.map_or_else(Vec::new, |s| {
+                s.die_health_sorted()
+                    .iter()
+                    .map(|&((channel, die), h)| DieBreakdown {
+                        channel,
+                        die,
+                        reads: h.reads,
+                        retry_steps: h.retry_steps,
+                        uncorrectable_reads: h.uncorrectable_reads,
+                        programs: h.programs,
+                        program_failures: h.program_failures,
+                        erases: h.erases,
+                        erase_failures: h.erase_failures,
+                    })
+                    .collect()
+            });
             HealthSummary {
-                health_ticks: self.health_ticker.ticks(),
+                health_ticks: monitor.ticker.ticks(),
                 suspects_flagged: c.suspects_flagged,
                 pages_evacuated: c.pages_evacuated,
                 evacuations_completed: c.evacuations_completed,
                 rehabilitations: c.rehabilitations,
                 evacuation_overruns: c.evacuation_overruns,
                 dead_dies_fenced: c.dead_dies_fenced,
-                quarantined: self.backend.quarantined_dies(),
+                quarantined: ftl.map(|f| f.quarantined_dies()).unwrap_or_default(),
                 per_die,
             }
         });
@@ -725,20 +674,16 @@ impl Simulation {
             instructions,
             requests,
             ipc: instructions as f64 / cycles.raw() as f64,
-            flash_array_gbps: flash_gbps,
-            flash_reads_per_page: reads_pp,
-            flash_programs_per_page: progs_pp,
+            flash_array_gbps: stats.map_or(0.0, |s| s.array_gbps(cycles, self.freq)),
+            flash_reads_per_page: stats.map_or(0.0, FlashStats::mean_reads_per_page),
+            flash_programs_per_page: stats.map_or(0.0, FlashStats::mean_programs_per_page),
             l1_hit_rate: self.sms.iter().map(|s| s.l1_hit_rate()).sum::<f64>()
                 / self.sms.len() as f64,
             l2_hit_rate: self.l2.hit_rate(),
             tlb_hit_rate: self.mmu.tlb().hit_rate(),
             predictor_accuracy: self.predictor.accuracy(),
-            gcs: self.backend.gcs(),
-            register_migrations: self
-                .backend
-                .flash_device()
-                .map(|d| d.total_migrations())
-                .unwrap_or(0),
+            gcs: ftl.map_or(0, |f| f.gcs()),
+            register_migrations: device.map_or(0, FlashDevice::total_migrations),
             redirected_writes: self.redirected_writes,
             avg_read_latency: read_lat_sum as f64 / read_lat_n.max(1) as f64,
             avg_write_latency: write_lat_sum as f64 / write_lat_n.max(1) as f64,
@@ -749,13 +694,17 @@ impl Simulation {
             per_app_requests,
             per_app_series: series.into_iter().map(|(k, s)| (k, s.samples())).collect(),
             series_interval: SERIES_INTERVAL,
-            gc_events,
-            read_retries,
-            uncorrectable_reads,
-            program_failures,
-            erase_failures,
-            blocks_retired: self.backend.blocks_retired(),
-            write_redrives: self.backend.write_redrives(),
+            gc_events: self
+                .backend
+                .zng_ftl()
+                .map(|f| f.gc_events().to_vec())
+                .unwrap_or_default(),
+            read_retries: stats.map_or(0, FlashStats::read_retries),
+            uncorrectable_reads: stats.map_or(0, FlashStats::uncorrectable_reads),
+            program_failures: stats.map_or(0, FlashStats::program_failures),
+            erase_failures: stats.map_or(0, FlashStats::erase_failures),
+            blocks_retired: ftl.map_or(0, |f| f.blocks_retired()),
+            write_redrives: ftl.map_or(0, |f| f.write_redrives()),
             crash_recovery: self.crash_summary.take(),
             qos,
             redundancy,
@@ -765,20 +714,6 @@ impl Simulation {
             health,
             perf,
         })
-    }
-
-    /// Holds every app's memory requests until `until` (device-wide
-    /// maintenance: crash recovery, die fencing, a scrub step).
-    fn block_all_apps(&mut self, mix: &MultiApp, until: Cycle) {
-        for (_, app, _) in &mix.apps {
-            let blocked = self
-                .app_blocked_until
-                .get(&app.raw())
-                .copied()
-                .unwrap_or(Cycle::ZERO)
-                .max(until);
-            self.app_blocked_until.insert(app.raw(), blocked);
-        }
     }
 
     /// Drops every piece of volatile GPU state at a power cut: L2
@@ -837,7 +772,7 @@ impl Simulation {
         // of displacing an in-flight fill (the unbounded approximation),
         // the warp backs off until the earliest fill frees a slot — one
         // bounded retry, surfaced as an `mshr_stalls` count.
-        let t = if self.qos.queue_depth.is_some() {
+        let t = if self.cfg.qos.queue_depth.is_some() {
             self.sms[sm_idx]
                 .mshr_mut()
                 .full_until(t, sector)
@@ -927,16 +862,16 @@ impl Simulation {
                     // The set was fully pinned: fall through to the
                     // registers, gracefully. Bounded mode pays (and
                     // counts) one backoff quantum for the failed pin.
-                    if !self.qos.is_unbounded() {
+                    if !self.cfg.qos.is_unbounded() {
                         self.pinned_overflow_stalls += 1;
-                        t += self.qos.backoff_delay(0);
+                        t += self.cfg.qos.backoff_delay(0);
                     }
                 }
-            } else if !self.qos.is_unbounded() {
+            } else if !self.cfg.qos.is_unbounded() {
                 // The pinned region is at its cap: same graceful
                 // degradation to the register path.
                 self.pinned_overflow_stalls += 1;
-                t += self.qos.backoff_delay(0);
+                t += self.cfg.qos.backoff_delay(0);
             }
         }
 
@@ -1045,13 +980,13 @@ impl Simulation {
     /// validated positive and `retry_at > t` by construction), so the
     /// retry loops terminate.
     fn next_retry_at(&mut self, t: Cycle, retry_at: Cycle, attempt: &mut u32) -> Cycle {
-        if *attempt < self.qos.retry_budget {
+        if *attempt < self.cfg.qos.retry_budget {
             self.qos_retried += 1;
-            let delayed = t + self.qos.backoff_delay(*attempt);
+            let delayed = t + self.cfg.qos.backoff_delay(*attempt);
             *attempt += 1;
             delayed
         } else {
-            if *attempt == self.qos.retry_budget {
+            if *attempt == self.cfg.qos.retry_budget {
                 self.qos_budget_exhausted += 1;
             }
             *attempt += 1;
@@ -1084,10 +1019,11 @@ impl Simulation {
             .unwrap_or(Cycle::ZERO)
             .max(gc.blocking_done);
         self.app_blocked_until.insert(victim, blocked);
-        if self.qos.gc_stall_budget.is_some() {
+        if self.cfg.qos.gc_stall_budget.is_some() {
             // Arm the pacing credit for this merge: each foreground event
             // the victim stalls on burns one credit (see the run loop).
-            self.gc_credits.insert(victim, self.qos.gc_credit_writes);
+            self.gc_credits
+                .insert(victim, self.cfg.qos.gc_credit_writes);
         }
         for &vpn in &gc.flushed_vpns {
             self.mmu.tlb_mut().invalidate(vpn);
@@ -1139,6 +1075,15 @@ impl Simulation {
     }
 }
 
+/// Holds every app's memory requests until `until` (device-wide
+/// maintenance: crash recovery, die fencing, a maintenance step).
+fn block_all_apps(blocked: &mut FxHashMap<u16, Cycle>, mix: &MultiApp, until: Cycle) {
+    for (_, app, _) in &mix.apps {
+        let b = blocked.entry(app.raw()).or_insert(Cycle::ZERO);
+        *b = (*b).max(until);
+    }
+}
+
 /// Host seconds since a `--perf` lap started (zero when untimed).
 fn since(t0: Option<Instant>) -> f64 {
     t0.map_or(0.0, |t| t.elapsed().as_secs_f64())
@@ -1147,6 +1092,7 @@ fn since(t0: Option<Instant>) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::RedundancyConfig;
     use zng_workloads::{MultiApp, TraceParams};
 
     fn run(kind: PlatformKind) -> RunResult {
@@ -1776,7 +1722,7 @@ mod tests {
         assert_eq!(h.dead_dies_fenced, 1, "the die died mid-run: {h:?}");
         assert!(!h.per_die.is_empty(), "telemetry rollups present: {h:?}");
         assert_eq!(
-            sim.backend().dead_die_reads(),
+            sim.backend().flash_device().unwrap().dead_die_reads(),
             0,
             "evacuation finished before death, no read hit dead silicon"
         );

@@ -381,7 +381,6 @@ impl Link {
 pub struct AdmissionQueue {
     depth: Option<usize>,
     inflight: Vec<Cycle>,
-    admitted: u64,
     rejected: u64,
     occupancy_hist: Histogram,
 }
@@ -424,7 +423,6 @@ impl AdmissionQueue {
                 .expect("a full queue has in-flight entries");
             return Err(soonest.max(now + Cycle(1)));
         }
-        self.admitted += 1;
         self.occupancy_hist.record(self.inflight.len() as u64 + 1);
         Ok(())
     }
@@ -440,11 +438,6 @@ impl AdmissionQueue {
     /// Requests currently tracked as in flight at `now`.
     pub fn in_flight(&self, now: Cycle) -> usize {
         self.inflight.iter().filter(|&&done| done > now).count()
-    }
-
-    /// Requests admitted so far (bounded mode only).
-    pub fn admitted(&self) -> u64 {
-        self.admitted
     }
 
     /// Requests rejected so far.
@@ -466,7 +459,6 @@ impl AdmissionQueue {
     /// Forgets in-flight entries and statistics; keeps the bound.
     pub fn reset(&mut self) {
         self.inflight.clear();
-        self.admitted = 0;
         self.rejected = 0;
         self.occupancy_hist = Histogram::new();
     }
@@ -691,7 +683,7 @@ mod tests {
             q.note_inflight(Cycle(1_000_000));
         }
         assert_eq!(q.in_flight(Cycle(0)), 0, "no tracking without a bound");
-        assert_eq!(q.admitted(), 0);
+        assert_eq!(q.max_occupancy(), 0);
         assert_eq!(q.rejected(), 0);
     }
 
@@ -711,7 +703,8 @@ mod tests {
         assert_eq!(q.max_occupancy(), 2);
         q.reset();
         assert_eq!(q.depth(), Some(2));
-        assert_eq!(q.admitted(), 0);
+        assert_eq!(q.rejected(), 0);
+        assert_eq!(q.max_occupancy(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use zng_gpu::{AccessPattern, WarpOp, WarpTrace};
 use zng_sim::rng::{derive_seed, seeded, Zipf};
 use zng_types::{
     ids::{AppId, Pc},
-    AccessKind, VirtAddr,
+    AccessKind, Error, Result, VirtAddr,
 };
 
 use crate::table2::{Class, WorkloadSpec};
@@ -58,6 +58,25 @@ impl TraceParams {
             seed: 7,
         }
     }
+
+    /// Checks that the warp count, ops per warp and footprint are all
+    /// non-zero (the generator has nothing to synthesise otherwise).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidConfig`] naming the first zero parameter.
+    pub fn validate(&self) -> Result<()> {
+        for (what, n) in [
+            ("total_warps", self.total_warps),
+            ("mem_ops_per_warp", self.mem_ops_per_warp),
+            ("footprint_pages", self.footprint_pages),
+        ] {
+            if n == 0 {
+                return Err(Error::invalid_config(what, "must be non-zero"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Address-space base for an application (disjoint 16 GB windows).
@@ -69,12 +88,11 @@ pub fn app_base(app: AppId) -> u64 {
 ///
 /// # Panics
 ///
-/// Panics if `params` has zero warps, ops or footprint.
+/// Panics if `params` fails [`TraceParams::validate`].
 pub fn generate(spec: &WorkloadSpec, app: AppId, params: &TraceParams) -> Vec<WarpTrace> {
-    assert!(
-        params.total_warps > 0 && params.mem_ops_per_warp > 0 && params.footprint_pages > 0,
-        "trace parameters must be non-zero"
-    );
+    if let Err(e) = params.validate() {
+        panic!("{e}");
+    }
     // The Zipf CDF tables depend only on the footprint, not the warp:
     // build them once here instead of once per warp (their construction
     // is O(footprint) with a `powf` per entry, which dominated trace

@@ -27,8 +27,10 @@ impl MultiApp {
     ///
     /// # Errors
     ///
-    /// Returns an error for unknown workload names.
+    /// Returns an error for unknown workload names and for trace
+    /// parameters that fail [`TraceParams::validate`].
     pub fn from_names(names: &[&str], params: &TraceParams) -> Result<MultiApp> {
+        params.validate()?;
         let mut apps = Vec::with_capacity(names.len());
         for (i, name) in names.iter().enumerate() {
             let spec = by_name(name)?;

@@ -14,6 +14,7 @@ use zng::{
     FaultProfile, HealthConfig, IntegrityConfig, PlatformKind, QosConfig, RedundancyConfig,
     RunResult, Table, TraceParams,
 };
+use zng_json::Value;
 use zng_types::ids::AppId;
 use zng_workloads::{by_name, generate, TraceBundle};
 
@@ -143,7 +144,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             Ok(())
         }
         Some("sweep") => {
-            let opts = Opts::parse(&args[1..], "sweep", SWEEP_FLAGS).map_err(CliError::Usage)?;
+            let opts = Opts::parse(&args[1..], "sweep", &sweep_flags()).map_err(CliError::Usage)?;
             let mut exp = Experiment::standard().with_params(opts.params);
             opts.apply(&mut exp);
             let mut t = Table::new(vec![
@@ -197,6 +198,9 @@ fn run(args: &[String]) -> Result<(), CliError> {
                 .first()
                 .ok_or_else(|| CliError::Usage("--workloads is required".into()))?;
             let spec = by_name(name).map_err(|e| CliError::Usage(e.to_string()))?;
+            opts.params
+                .validate()
+                .map_err(|e| CliError::Sim(e.to_string()))?;
             let traces = generate(&spec, AppId(0), &opts.params);
             let bundle = TraceBundle::new(name, opts.params.seed, traces);
             bundle
@@ -259,46 +263,16 @@ const RUN_FLAGS: &[&str] = &[
     "--perf",
     "--json",
 ];
-const SWEEP_FLAGS: &[&str] = &[
-    "-w",
-    "--workloads",
-    "--warps",
-    "--ops",
-    "--footprint",
-    "--seed",
-    "--faults",
-    "--crash-at",
-    "--qos",
-    "--queue-depth",
-    "--retry-budget",
-    "--gc-stall-budget",
-    "--gc-credits",
-    "--fair-window",
-    "--redundancy",
-    "--scrub-every",
-    "--scrub-threshold",
-    "--die-fail-at",
-    "--die-fail",
-    "--link-fail",
-    "--integrity",
-    "--sdc-rate",
-    "--sdc-at",
-    "--endurance",
-    "--refresh-every",
-    "--disturb-threshold",
-    "--retention-threshold",
-    "--wear-spread",
-    "--checkpoint",
-    "--checkpoint-every",
-    "--journal-cap",
-    "--health",
-    "--health-window",
-    "--suspect-threshold",
-    "--evacuate",
-    "--degrading-die",
-    "--watchdog",
-    "--perf",
-];
+/// `sweep` takes every `run` flag except the platform choice and
+/// `--json`.
+fn sweep_flags() -> Vec<&'static str> {
+    let run_only = ["-p", "--platform", "--json"];
+    RUN_FLAGS
+        .iter()
+        .copied()
+        .filter(|f| !run_only.contains(f))
+        .collect()
+}
 const TRACES_FLAGS: &[&str] = &[
     "-w",
     "--workloads",
@@ -387,13 +361,13 @@ impl Opts {
                 "--warps" => opts.params.total_warps = parse_num(&value("--warps")?)?,
                 "--ops" => opts.params.mem_ops_per_warp = parse_num(&value("--ops")?)?,
                 "--footprint" => opts.params.footprint_pages = parse_num(&value("--footprint")?)?,
-                "--seed" => opts.params.seed = parse_num(&value("--seed")?)? as u64,
+                "--seed" => opts.params.seed = parse_num(&value("--seed")?)?,
                 "--faults" => {
                     opts.faults =
                         FaultProfile::parse(&value("--faults")?).map_err(|e| e.to_string())?;
                 }
                 "--crash-at" => {
-                    opts.crash_at = Some(parse_num(&value("--crash-at")?)? as u64);
+                    opts.crash_at = Some(parse_num(&value("--crash-at")?)?);
                 }
                 "--qos" => {
                     opts.qos_mut();
@@ -403,44 +377,40 @@ impl Opts {
                     opts.qos_mut().queue_depth = Some(depth);
                 }
                 "--retry-budget" => {
-                    opts.qos_mut().retry_budget = parse_num(&value("--retry-budget")?)? as u32;
+                    opts.qos_mut().retry_budget = parse_num(&value("--retry-budget")?)?;
                 }
                 "--gc-stall-budget" => {
-                    let cycles = parse_num(&value("--gc-stall-budget")?)? as u64;
+                    let cycles = parse_num(&value("--gc-stall-budget")?)?;
                     opts.qos_mut().gc_stall_budget = Some(Cycle(cycles));
                 }
                 "--gc-credits" => {
-                    opts.qos_mut().gc_credit_writes = parse_num(&value("--gc-credits")?)? as u64;
+                    opts.qos_mut().gc_credit_writes = parse_num(&value("--gc-credits")?)?;
                 }
                 "--fair-window" => {
-                    opts.qos_mut().fair_window = parse_num(&value("--fair-window")?)? as u64;
+                    opts.qos_mut().fair_window = parse_num(&value("--fair-window")?)?;
                 }
                 "--redundancy" => {
                     opts.redundancy_mut();
                 }
                 "--scrub-every" => {
-                    opts.redundancy_mut().scrub_every_ops =
-                        parse_num(&value("--scrub-every")?)? as u64;
+                    opts.redundancy_mut().scrub_every_ops = parse_num(&value("--scrub-every")?)?;
                 }
                 "--scrub-threshold" => {
                     opts.redundancy_mut().scrub_threshold =
-                        parse_num(&value("--scrub-threshold")?)? as u32;
+                        parse_num(&value("--scrub-threshold")?)?;
                 }
                 "--die-fail-at" => {
-                    opts.redundancy_mut().die_fail_at =
-                        Some(parse_num(&value("--die-fail-at")?)? as u64);
+                    opts.redundancy_mut().die_fail_at = Some(parse_num(&value("--die-fail-at")?)?);
                 }
                 "--die-fail" => {
                     let spec = value("--die-fail")?;
                     let (ch, die) = spec
                         .split_once(':')
                         .ok_or_else(|| format!("--die-fail wants ch:die, got `{spec}`"))?;
-                    opts.redundancy_mut().die_fail =
-                        (parse_num(ch)? as u16, parse_num(die)? as u16);
+                    opts.redundancy_mut().die_fail = (parse_num(ch)?, parse_num(die)?);
                 }
                 "--link-fail" => {
-                    opts.redundancy_mut().link_fail =
-                        Some(parse_num(&value("--link-fail")?)? as u16);
+                    opts.redundancy_mut().link_fail = Some(parse_num(&value("--link-fail")?)?);
                 }
                 "--integrity" => {
                     opts.integrity_mut();
@@ -449,22 +419,21 @@ impl Opts {
                     opts.integrity_mut().sdc_rate = parse_float(&value("--sdc-rate")?)?;
                 }
                 "--sdc-at" => {
-                    opts.integrity_mut().sdc_at = Some(parse_num(&value("--sdc-at")?)? as u64);
+                    opts.integrity_mut().sdc_at = Some(parse_num(&value("--sdc-at")?)?);
                 }
                 "--endurance" => {
                     opts.endurance_mut();
                 }
                 "--refresh-every" => {
-                    opts.endurance_mut().refresh_every_ops =
-                        parse_num(&value("--refresh-every")?)? as u64;
+                    opts.endurance_mut().refresh_every_ops = parse_num(&value("--refresh-every")?)?;
                 }
                 "--disturb-threshold" => {
                     opts.endurance_mut().disturb_threshold =
-                        parse_num(&value("--disturb-threshold")?)? as u64;
+                        parse_num(&value("--disturb-threshold")?)?;
                 }
                 "--retention-threshold" => {
                     opts.endurance_mut().retention_threshold =
-                        parse_num(&value("--retention-threshold")?)? as u64;
+                        parse_num(&value("--retention-threshold")?)?;
                 }
                 "--wear-spread" => {
                     opts.endurance_mut().wear_spread = parse_float(&value("--wear-spread")?)?;
@@ -473,17 +442,16 @@ impl Opts {
                     opts.checkpoint_mut();
                 }
                 "--checkpoint-every" => {
-                    opts.checkpoint_mut().every_ops =
-                        parse_num(&value("--checkpoint-every")?)? as u64;
+                    opts.checkpoint_mut().every_ops = parse_num(&value("--checkpoint-every")?)?;
                 }
                 "--journal-cap" => {
-                    opts.checkpoint_mut().journal_cap = parse_num(&value("--journal-cap")?)? as u64;
+                    opts.checkpoint_mut().journal_cap = parse_num(&value("--journal-cap")?)?;
                 }
                 "--health" => {
-                    opts.health_mut().every_ops = parse_num(&value("--health")?)? as u64;
+                    opts.health_mut().every_ops = parse_num(&value("--health")?)?;
                 }
                 "--health-window" => {
-                    opts.health_mut().window = parse_num(&value("--health-window")?)? as u64;
+                    opts.health_mut().window = parse_num(&value("--health-window")?)?;
                 }
                 "--suspect-threshold" => {
                     opts.health_mut().suspect_threshold =
@@ -501,14 +469,14 @@ impl Opts {
                         ));
                     };
                     opts.degrading = Some(DegradingDie {
-                        channel: parse_num(ch)? as u16,
-                        die: parse_num(die)? as u16,
-                        onset: parse_num(onset)? as u64,
-                        death: parse_num(death)? as u64,
+                        channel: parse_num(ch)?,
+                        die: parse_num(die)?,
+                        onset: parse_num(onset)?,
+                        death: parse_num(death)?,
                     });
                 }
                 "--watchdog" => {
-                    opts.watchdog = Some(parse_num(&value("--watchdog")?)? as u64);
+                    opts.watchdog = Some(parse_num(&value("--watchdog")?)?);
                 }
                 "--perf" => opts.perf = true,
                 "--json" => opts.json = true,
@@ -618,8 +586,11 @@ impl Opts {
     }
 }
 
-fn parse_num(s: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("`{s}` is not a number"))
+/// Parses an integer flag value, rejecting values that do not fit the
+/// target type instead of truncating them.
+fn parse_num<T: TryFrom<u64>>(s: &str) -> Result<T, String> {
+    let n: u64 = s.parse().map_err(|_| format!("`{s}` is not a number"))?;
+    T::try_from(n).map_err(|_| format!("`{s}` is out of range"))
 }
 
 fn parse_float(s: &str) -> Result<f64, String> {
@@ -653,351 +624,38 @@ fn flag_name(p: PlatformKind) -> &'static str {
     }
 }
 
+/// Longest array the run table prints inline; longer ones (time series,
+/// GC event lists) are summarised and left to `--json`.
+const MAX_INLINE_ARRAY: usize = 80;
+
+/// Prints the run's JSON document as a two-column table: one row per
+/// key, in JSON order.
 fn print_result(r: &RunResult) {
     let mut t = Table::new(vec!["metric".into(), "value".into()]);
-    t.row(vec!["platform".into(), r.platform.to_string()]);
-    t.row(vec!["workload".into(), r.workload.clone()]);
-    t.row(vec!["IPC".into(), format!("{:.4}", r.ipc)]);
-    t.row(vec!["instructions".into(), r.instructions.to_string()]);
-    t.row(vec!["requests".into(), r.requests.to_string()]);
-    t.row(vec!["cycles".into(), r.cycles.raw().to_string()]);
-    t.row(vec![
-        "simulated us".into(),
-        format!("{:.0}", r.simulated_us()),
-    ]);
-    t.row(vec!["L1 hit".into(), format!("{:.3}", r.l1_hit_rate)]);
-    t.row(vec!["L2 hit".into(), format!("{:.3}", r.l2_hit_rate)]);
-    t.row(vec!["TLB hit".into(), format!("{:.3}", r.tlb_hit_rate)]);
-    t.row(vec![
-        "flash array GB/s".into(),
-        format!("{:.2}", r.flash_array_gbps),
-    ]);
-    t.row(vec![
-        "flash reads/page".into(),
-        format!("{:.2}", r.flash_reads_per_page),
-    ]);
-    t.row(vec![
-        "flash programs/page".into(),
-        format!("{:.2}", r.flash_programs_per_page),
-    ]);
-    t.row(vec![
-        "predictor accuracy".into(),
-        format!("{:.3}", r.predictor_accuracy),
-    ]);
-    t.row(vec!["GCs".into(), r.gcs.to_string()]);
-    t.row(vec![
-        "register migrations".into(),
-        r.register_migrations.to_string(),
-    ]);
-    t.row(vec!["read retries".into(), r.read_retries.to_string()]);
-    t.row(vec![
-        "uncorrectable reads".into(),
-        r.uncorrectable_reads.to_string(),
-    ]);
-    t.row(vec![
-        "program failures".into(),
-        r.program_failures.to_string(),
-    ]);
-    t.row(vec!["erase failures".into(), r.erase_failures.to_string()]);
-    t.row(vec!["blocks retired".into(), r.blocks_retired.to_string()]);
-    t.row(vec!["write re-drives".into(), r.write_redrives.to_string()]);
-    if let Some(q) = &r.qos {
-        t.row(vec!["qos rejected".into(), q.rejected.to_string()]);
-        t.row(vec!["qos retried".into(), q.retried.to_string()]);
-        t.row(vec![
-            "qos budget exhausted".into(),
-            q.retry_budget_exhausted.to_string(),
-        ]);
-        t.row(vec!["qos MSHR stalls".into(), q.mshr_stalls.to_string()]);
-        t.row(vec![
-            "qos pinned overflows".into(),
-            q.pinned_overflow_stalls.to_string(),
-        ]);
-        t.row(vec![
-            "qos GC deadline misses".into(),
-            q.gc_deadline_misses.to_string(),
-        ]);
-        t.row(vec!["qos paced GCs".into(), q.paced_gcs.to_string()]);
-        t.row(vec![
-            "qos GC credits exhausted".into(),
-            q.gc_credit_exhausted.to_string(),
-        ]);
-        t.row(vec![
-            "qos fairness throttles".into(),
-            q.fairness_throttles.to_string(),
-        ]);
-        t.row(vec![
-            "qos max service lag".into(),
-            q.max_service_lag.to_string(),
-        ]);
-        t.row(vec![
-            "qos max queue occupancy".into(),
-            q.max_queue_occupancy.to_string(),
-        ]);
-        t.row(vec![
-            "read p50/p95/p99".into(),
-            format!("{}/{}/{}", q.read_p50, q.read_p95, q.read_p99),
-        ]);
-        t.row(vec![
-            "write p50/p95/p99".into(),
-            format!("{}/{}/{}", q.write_p50, q.write_p95, q.write_p99),
-        ]);
-        for (app, lat) in &r.per_app_read_latency {
-            t.row(vec![format!("app{app} avg read lat"), format!("{lat:.0}")]);
-        }
-        for (app, lat) in &r.per_app_write_latency {
-            t.row(vec![format!("app{app} avg write lat"), format!("{lat:.0}")]);
-        }
-    }
-    if let Some(rd) = &r.redundancy {
-        t.row(vec![
-            "rain reconstructions".into(),
-            rd.reconstructions.to_string(),
-        ]);
-        t.row(vec![
-            "rain member reads".into(),
-            rd.reconstruction_reads.to_string(),
-        ]);
-        t.row(vec![
-            "rain parity pages".into(),
-            rd.parity_pages.to_string(),
-        ]);
-        t.row(vec![
-            "scrub ticks/scanned".into(),
-            format!("{}/{}", rd.scrub_ticks, rd.scrub_scanned),
-        ]);
-        t.row(vec!["scrub rewrites".into(), rd.scrub_rewrites.to_string()]);
-        t.row(vec!["scrub overruns".into(), rd.scrub_overruns.to_string()]);
-        t.row(vec!["rebuild pages".into(), rd.rebuild_pages.to_string()]);
-        t.row(vec!["degraded reads".into(), rd.degraded_reads.to_string()]);
-        t.row(vec!["fenced blocks".into(), rd.fenced_blocks.to_string()]);
-        t.row(vec!["dead-die reads".into(), rd.dead_die_reads.to_string()]);
-        t.row(vec![
-            "rerouted transfers".into(),
-            rd.rerouted_transfers.to_string(),
-        ]);
-        let hist: Vec<String> = rd
-            .retry_depth_histogram
-            .iter()
-            .map(u64::to_string)
-            .collect();
-        t.row(vec!["retry depth 0..4+".into(), hist.join("/")]);
-    }
-    if let Some(cr) = &r.crash_recovery {
-        t.row(vec!["crash at request".into(), cr.at_requests.to_string()]);
-        t.row(vec!["crash at cycle".into(), cr.at_cycle.raw().to_string()]);
-        t.row(vec![
-            "recovery pages scanned".into(),
-            cr.pages_scanned.to_string(),
-        ]);
-        t.row(vec![
-            "recovery torn discarded".into(),
-            cr.torn_discarded.to_string(),
-        ]);
-        t.row(vec![
-            "recovery stale dropped".into(),
-            cr.stale_dropped.to_string(),
-        ]);
-        t.row(vec![
-            "recovery blocks erased".into(),
-            cr.blocks_erased.to_string(),
-        ]);
-        t.row(vec![
-            "recovery scan cycles".into(),
-            cr.scan_cycles.raw().to_string(),
-        ]);
-        if r.integrity.is_some() {
-            t.row(vec![
-                "recovery corrupt quarantined".into(),
-                cr.corrupt_quarantined.to_string(),
-            ]);
-        }
-        if r.checkpoint.is_some() {
-            t.row(vec![
-                "recovery path".into(),
-                if cr.fast_path {
-                    "fast (checkpoint+journal)".into()
-                } else if cr.fallback {
-                    "fallback (full scan)".into()
-                } else {
-                    "full scan".into()
-                },
-            ]);
-            t.row(vec![
-                "journal records replayed".into(),
-                cr.journal_replayed.to_string(),
-            ]);
-            t.row(vec![
-                "blocks rescanned".into(),
-                cr.blocks_rescanned.to_string(),
-            ]);
-            t.row(vec![
-                "scan cycles saved".into(),
-                cr.cycles_saved.raw().to_string(),
-            ]);
-        }
-    }
-    if let Some(i) = &r.integrity {
-        t.row(vec![
-            "silent corruptions".into(),
-            i.silent_corruptions.to_string(),
-        ]);
-        t.row(vec!["integrity detected".into(), i.detected.to_string()]);
-        t.row(vec!["integrity re-reads".into(), i.rereads.to_string()]);
-        t.row(vec![
-            "integrity reconstructed".into(),
-            i.reconstructed.to_string(),
-        ]);
-        t.row(vec![
-            "integrity quarantined".into(),
-            i.quarantined.to_string(),
-        ]);
-        t.row(vec![
-            "poisoned L2 lines".into(),
-            i.poisoned_lines.to_string(),
-        ]);
-    }
-    if let Some(e) = &r.endurance {
-        t.row(vec![
-            "refresh ticks/refreshes".into(),
-            format!("{}/{}", e.refresh_ticks, e.refreshes),
-        ]);
-        t.row(vec![
-            "refresh disturb/retention".into(),
-            format!("{}/{}", e.disturb_refreshes, e.retention_refreshes),
-        ]);
-        t.row(vec![
-            "refreshed pages".into(),
-            e.refreshed_pages.to_string(),
-        ]);
-        t.row(vec![
-            "level migrations".into(),
-            e.level_migrations.to_string(),
-        ]);
-        t.row(vec!["leveled pages".into(), e.leveled_pages.to_string()]);
-        t.row(vec![
-            "refresh overruns".into(),
-            e.refresh_overruns.to_string(),
-        ]);
-        t.row(vec!["capacity steps".into(), e.capacity_steps.to_string()]);
-        t.row(vec!["writes refused".into(), e.writes_refused.to_string()]);
-        t.row(vec!["disturb reads".into(), e.disturb_reads.to_string()]);
-        t.row(vec![
-            "disturb-triggered errors".into(),
-            e.disturb_triggered_errors.to_string(),
-        ]);
-        t.row(vec![
-            "wear min/mean/max".into(),
-            format!("{:.6}/{:.6}/{:.6}", e.wear_min, e.wear_mean, e.wear_max),
-        ]);
-        t.row(vec!["wear spread".into(), format!("{:.2}", e.wear_spread)]);
-    }
-    if let Some(c) = &r.checkpoint {
-        t.row(vec![
-            "checkpoint ticks/taken".into(),
-            format!("{}/{}", c.checkpoint_ticks, c.checkpoints),
-        ]);
-        t.row(vec![
-            "checkpoint pages".into(),
-            c.checkpoint_pages.to_string(),
-        ]);
-        t.row(vec![
-            "journal records/pages".into(),
-            format!("{}/{}", c.journal_records, c.journal_pages),
-        ]);
-        t.row(vec!["checkpoint overruns".into(), c.overruns.to_string()]);
-        t.row(vec![
-            "journal overflows".into(),
-            c.journal_overflows.to_string(),
-        ]);
-        t.row(vec!["checkpoints aborted".into(), c.aborted.to_string()]);
-    }
-    if let Some(p) = &r.perf {
-        t.row(vec![
-            "sim wall seconds".into(),
-            format!("{:.3}", p.wall_seconds),
-        ]);
-        t.row(vec!["sim events".into(), p.events.to_string()]);
-        t.row(vec![
-            "sim events/sec".into(),
-            format!("{:.0}", p.events_per_sec),
-        ]);
-        t.row(vec![
-            "sim peak queue depth".into(),
-            p.peak_queue_depth.to_string(),
-        ]);
-        t.row(vec![
-            "sim compute/mem events".into(),
-            format!("{}/{}", p.compute_events, p.mem_events),
-        ]);
-        t.row(vec![
-            "sim blocked/maint/skipped".into(),
-            format!(
-                "{}/{}/{}",
-                p.blocked_events, p.maintenance_events, p.skipped_events
-            ),
-        ]);
-        t.row(vec![
-            "maint s ckpt/refresh/scrub/health".into(),
-            format!(
-                "{:.3}/{:.3}/{:.3}/{:.3}",
-                p.maint_checkpoint_s, p.maint_refresh_s, p.maint_scrub_s, p.maint_health_s
-            ),
-        ]);
-    }
-    if let Some(h) = &r.health {
-        t.row(vec!["health ticks".into(), h.health_ticks.to_string()]);
-        t.row(vec![
-            "suspects flagged".into(),
-            h.suspects_flagged.to_string(),
-        ]);
-        t.row(vec![
-            "pages evacuated".into(),
-            h.pages_evacuated.to_string(),
-        ]);
-        t.row(vec![
-            "evacuations completed".into(),
-            h.evacuations_completed.to_string(),
-        ]);
-        t.row(vec![
-            "rehabilitations".into(),
-            h.rehabilitations.to_string(),
-        ]);
-        t.row(vec![
-            "evacuation overruns".into(),
-            h.evacuation_overruns.to_string(),
-        ]);
-        t.row(vec![
-            "dead dies fenced".into(),
-            h.dead_dies_fenced.to_string(),
-        ]);
-        t.row(vec![
-            "quarantined dies".into(),
-            if h.quarantined.is_empty() {
-                "none".into()
-            } else {
-                h.quarantined
-                    .iter()
-                    .map(|(c, d)| format!("{c}:{d}"))
-                    .collect::<Vec<_>>()
-                    .join(",")
-            },
-        ]);
-        for d in &h.per_die {
-            t.row(vec![
-                format!("die {}:{} rd/retry/unc", d.channel, d.die),
-                format!(
-                    "{}/{}/{} pgm {} (fail {}) erase {} (fail {})",
-                    d.reads,
-                    d.retry_steps,
-                    d.uncorrectable_reads,
-                    d.programs,
-                    d.program_failures,
-                    d.erases,
-                    d.erase_failures
-                ),
-            ]);
-        }
-    }
+    add_rows(&mut t, "", &r.to_json_value());
     t.print("run result");
+}
+
+/// Adds the rows for `v` labelled `label`: an object contributes one row
+/// per member, labelled `label.member` (recursively); anything else is
+/// one row holding its JSON text.
+fn add_rows(t: &mut Table, label: &str, v: &Value) {
+    let text = match v {
+        Value::Object(members) => {
+            for (key, member) in members {
+                let child = if label.is_empty() {
+                    key.clone()
+                } else {
+                    format!("{label}.{key}")
+                };
+                add_rows(t, &child, member);
+            }
+            return;
+        }
+        Value::Array(items) if v.to_string_compact().len() > MAX_INLINE_ARRAY => {
+            format!("{} items, see --json", items.len())
+        }
+        _ => v.to_string_compact(),
+    };
+    t.row(vec![label.into(), text]);
 }

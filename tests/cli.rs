@@ -48,7 +48,7 @@ fn run_prints_metrics_table() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("IPC"));
+    assert!(text.contains("ipc"));
     assert!(text.contains("Ideal"));
 }
 
@@ -135,9 +135,9 @@ fn qos_flags_add_overload_metrics() {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("qos rejected"), "{text}");
-    assert!(text.contains("read p50/p95/p99"), "{text}");
-    assert!(text.contains("app0 avg read lat"), "{text}");
+    assert!(text.contains("qos_rejected"), "{text}");
+    assert!(text.contains("qos_read_p99"), "{text}");
+    assert!(text.contains("per_app_read_latency"), "{text}");
 }
 
 #[test]
@@ -195,6 +195,47 @@ fn bad_arguments_fail_with_usage() {
         vec!["run", "-p", "bogus", "-w", "betw"],
         vec!["run", "-p", "zng", "-w", "nope"],
         vec!["frobnicate"],
+        // Integer values that do not fit their field are rejected, not
+        // truncated.
+        vec!["run", "-p", "zng", "-w", "betw", "--die-fail", "65536:0"],
+        vec!["run", "-p", "zng", "-w", "betw", "--link-fail", "65536"],
+        vec![
+            "run",
+            "-p",
+            "zng",
+            "-w",
+            "betw",
+            "--degrading-die",
+            "65536:0:1:2",
+        ],
+        vec![
+            "run",
+            "-p",
+            "zng",
+            "-w",
+            "betw",
+            "--degrading-die",
+            "0:65536:1:2",
+        ],
+        vec![
+            "run",
+            "-p",
+            "zng",
+            "-w",
+            "betw",
+            "--scrub-threshold",
+            "4294967297",
+        ],
+        vec![
+            "run",
+            "-p",
+            "zng",
+            "-w",
+            "betw",
+            "--retry-budget",
+            "4294967296",
+        ],
+        vec!["run", "-p", "zng", "-w", "betw", "--warps", "-1"],
     ] {
         let out = cli().args(&args).output().expect("spawn");
         assert!(!out.status.success(), "args {args:?} should fail");
@@ -439,4 +480,119 @@ fn default_run_has_no_integrity_rows() {
         !text.contains("integrity") && !text.contains("poisoned"),
         "default output must be integrity-free:\n{text}"
     );
+}
+
+#[test]
+fn invalid_configurations_exit_one_without_panicking() {
+    let small = [
+        "-w",
+        "betw",
+        "--warps",
+        "8",
+        "--ops",
+        "40",
+        "--footprint",
+        "128",
+    ];
+    let out_path = std::env::temp_dir().join("zng_cli_invalid_traces.json");
+    let out_file = out_path.to_str().unwrap();
+    let mut cases: Vec<Vec<&str>> = Vec::new();
+    for zero in ["--warps", "--ops", "--footprint"] {
+        cases.push([&["run", "-p", "zng"][..], &small, &[zero, "0"]].concat());
+        cases.push([&["sweep"][..], &small, &[zero, "0"]].concat());
+        cases.push([&["traces", "--out", out_file][..], &small, &[zero, "0"]].concat());
+    }
+    cases.push([&["run", "-p", "zng"][..], &small, &["--queue-depth", "0"]].concat());
+    for args in cases {
+        let out = cli().args(&args).output().expect("spawn");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "config errors exit 1: {args:?}\n{err}"
+        );
+        assert!(err.contains("invalid configuration"), "{args:?}: {err}");
+        assert!(!err.contains("usage:"), "no usage text: {err}");
+    }
+    assert!(!out_path.exists(), "no trace file from invalid parameters");
+}
+
+/// The JSON document's keys, flattened the way the run table labels its
+/// rows: object members become `key.member`, everything else is a leaf.
+fn flat_keys(prefix: &str, v: &zng_json::Value, keys: &mut Vec<String>) {
+    match v.as_object() {
+        Some(members) => {
+            for (k, m) in members {
+                let label = if prefix.is_empty() {
+                    k.clone()
+                } else {
+                    format!("{prefix}.{k}")
+                };
+                flat_keys(&label, m, keys);
+            }
+        }
+        None => keys.push(prefix.to_string()),
+    }
+}
+
+#[test]
+fn table_rows_are_the_flattened_json_keys() {
+    let args = [
+        "run",
+        "-p",
+        "zng",
+        "-w",
+        "betw,back",
+        "--warps",
+        "8",
+        "--ops",
+        "40",
+        "--footprint",
+        "128",
+        "--qos",
+        "--scrub-every",
+        "25",
+        "--integrity",
+        "--refresh-every",
+        "25",
+        "--checkpoint-every",
+        "25",
+        "--health",
+        "25",
+        "--crash-at",
+        "100",
+        "--perf",
+    ];
+    let table = cli().args(args).output().expect("spawn");
+    assert!(
+        table.status.success(),
+        "{}",
+        String::from_utf8_lossy(&table.stderr)
+    );
+    let json = cli().args(args).arg("--json").output().expect("spawn");
+    assert!(
+        json.status.success(),
+        "{}",
+        String::from_utf8_lossy(&json.stderr)
+    );
+    let v = zng_json::Value::parse(&String::from_utf8_lossy(&json.stdout)).expect("JSON");
+    let mut keys = Vec::new();
+    flat_keys("", &v, &mut keys);
+    let text = String::from_utf8_lossy(&table.stdout);
+    let labels: Vec<&str> = text
+        .lines()
+        .skip_while(|l| !l.starts_with("---"))
+        .skip(1)
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(labels, keys);
+    for key in [
+        "qos_rejected",
+        "scrub_ticks",
+        "integrity_detected",
+        "checkpoint_ticks",
+    ] {
+        assert!(labels.contains(&key), "{key} missing from the table");
+    }
+    assert!(labels.iter().any(|l| l.starts_with("per_die_health.")));
 }
