@@ -388,6 +388,23 @@ mod tests {
     }
 
     #[test]
+    fn failure_counters_accumulate() {
+        let mut s = FlashStats::new();
+        s.record_read(1, 10);
+        s.record_program(1, 10);
+        s.record_read_retries(3);
+        s.record_uncorrectable_read();
+        s.record_program_failure();
+        s.record_erase_failure();
+        assert_eq!(s.total_reads(), 1);
+        assert_eq!(s.total_programs(), 1);
+        assert_eq!(s.read_retries(), 3);
+        assert_eq!(s.uncorrectable_reads(), 1);
+        assert_eq!(s.program_failures(), 1);
+        assert_eq!(s.erase_failures(), 1);
+    }
+
+    #[test]
     fn disturb_counters_accumulate() {
         let mut s = FlashStats::new();
         assert_eq!(s.disturb_reads(), 0);

@@ -385,244 +385,275 @@ impl RunResult {
                     .collect(),
             )
         }
-        let mut fields: Vec<(&str, Value)> = vec![
-            ("platform", format!("{:?}", self.platform).into()),
-            ("workload", self.workload.as_str().into()),
-            ("cycles", self.cycles.raw().into()),
-            ("instructions", self.instructions.into()),
-            ("requests", self.requests.into()),
-            ("ipc", self.ipc.into()),
-            ("flash_array_gbps", self.flash_array_gbps.into()),
-            ("flash_reads_per_page", self.flash_reads_per_page.into()),
+        let mut fields = vec![
+            ("platform", Value::from(format!("{:?}", self.platform))),
+            ("workload", Value::from(self.workload.as_str())),
+            ("cycles", Value::from(self.cycles.raw())),
+            ("instructions", Value::from(self.instructions)),
+            ("requests", Value::from(self.requests)),
+            ("ipc", Value::from(self.ipc)),
+            ("flash_array_gbps", Value::from(self.flash_array_gbps)),
+            (
+                "flash_reads_per_page",
+                Value::from(self.flash_reads_per_page),
+            ),
             (
                 "flash_programs_per_page",
-                self.flash_programs_per_page.into(),
+                Value::from(self.flash_programs_per_page),
             ),
-            ("l1_hit_rate", self.l1_hit_rate.into()),
-            ("l2_hit_rate", self.l2_hit_rate.into()),
-            ("tlb_hit_rate", self.tlb_hit_rate.into()),
-            ("predictor_accuracy", self.predictor_accuracy.into()),
-            ("gcs", self.gcs.into()),
-            ("register_migrations", self.register_migrations.into()),
-            ("redirected_writes", self.redirected_writes.into()),
-            ("avg_read_latency", self.avg_read_latency.into()),
-            ("avg_write_latency", self.avg_write_latency.into()),
+            ("l1_hit_rate", Value::from(self.l1_hit_rate)),
+            ("l2_hit_rate", Value::from(self.l2_hit_rate)),
+            ("tlb_hit_rate", Value::from(self.tlb_hit_rate)),
+            ("predictor_accuracy", Value::from(self.predictor_accuracy)),
+            ("gcs", Value::from(self.gcs)),
+            ("register_migrations", Value::from(self.register_migrations)),
+            ("redirected_writes", Value::from(self.redirected_writes)),
+            ("avg_read_latency", Value::from(self.avg_read_latency)),
+            ("avg_write_latency", Value::from(self.avg_write_latency)),
             ("per_app_instructions", app_map(&self.per_app_instructions)),
             (
                 "per_app_cycles",
                 Value::object(
                     self.per_app_cycles
                         .iter()
-                        .map(|(k, v)| (k.to_string(), v.raw().into()))
+                        .map(|(k, v)| (k.to_string(), Value::from(v.raw())))
                         .collect(),
                 ),
             ),
             ("per_app_requests", app_map(&self.per_app_requests)),
-            ("per_app_series", app_map(&self.per_app_series)),
-            ("series_interval", self.series_interval.raw().into()),
-            ("read_retries", self.read_retries.into()),
-            ("uncorrectable_reads", self.uncorrectable_reads.into()),
-            ("program_failures", self.program_failures.into()),
-            ("erase_failures", self.erase_failures.into()),
-            ("blocks_retired", self.blocks_retired.into()),
-            ("write_redrives", self.write_redrives.into()),
+            (
+                "per_app_series",
+                Value::object(
+                    self.per_app_series
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), Value::from(v.clone())))
+                        .collect(),
+                ),
+            ),
+            ("series_interval", Value::from(self.series_interval.raw())),
+            ("read_retries", Value::from(self.read_retries)),
+            ("uncorrectable_reads", Value::from(self.uncorrectable_reads)),
+            ("program_failures", Value::from(self.program_failures)),
+            ("erase_failures", Value::from(self.erase_failures)),
+            ("blocks_retired", Value::from(self.blocks_retired)),
+            ("write_redrives", Value::from(self.write_redrives)),
             (
                 "gc_events",
                 Value::Array(
                     self.gc_events
                         .iter()
-                        .map(|&(s, e)| vec![s.raw(), e.raw()].into())
+                        .map(|&(s, e)| {
+                            Value::Array(vec![Value::from(s.raw()), Value::from(e.raw())])
+                        })
                         .collect(),
                 ),
             ),
         ];
         if let Some(q) = &self.qos {
-            fields.extend([
-                ("qos_rejected", q.rejected.into()),
-                ("qos_retried", q.retried.into()),
-                (
-                    "qos_retry_budget_exhausted",
-                    q.retry_budget_exhausted.into(),
-                ),
-                ("qos_mshr_stalls", q.mshr_stalls.into()),
-                (
-                    "qos_pinned_overflow_stalls",
-                    q.pinned_overflow_stalls.into(),
-                ),
-                ("qos_gc_deadline_misses", q.gc_deadline_misses.into()),
-                ("qos_paced_gcs", q.paced_gcs.into()),
-                ("qos_gc_credit_exhausted", q.gc_credit_exhausted.into()),
-                ("qos_fairness_throttles", q.fairness_throttles.into()),
-                ("qos_max_service_lag", q.max_service_lag.into()),
-                ("qos_max_queue_occupancy", q.max_queue_occupancy.into()),
-                ("qos_read_p50", q.read_p50.into()),
-                ("qos_read_p95", q.read_p95.into()),
-                ("qos_read_p99", q.read_p99.into()),
-                ("qos_write_p50", q.write_p50.into()),
-                ("qos_write_p95", q.write_p95.into()),
-                ("qos_write_p99", q.write_p99.into()),
-                // Per-app latency breakdowns ride with the QoS summary so
-                // the default output stays byte-stable across versions.
-                ("per_app_read_latency", app_map(&self.per_app_read_latency)),
-                (
-                    "per_app_write_latency",
-                    app_map(&self.per_app_write_latency),
-                ),
-            ]);
+            fields.push(("qos_rejected", Value::from(q.rejected)));
+            fields.push(("qos_retried", Value::from(q.retried)));
+            fields.push((
+                "qos_retry_budget_exhausted",
+                Value::from(q.retry_budget_exhausted),
+            ));
+            fields.push(("qos_mshr_stalls", Value::from(q.mshr_stalls)));
+            fields.push((
+                "qos_pinned_overflow_stalls",
+                Value::from(q.pinned_overflow_stalls),
+            ));
+            fields.push(("qos_gc_deadline_misses", Value::from(q.gc_deadline_misses)));
+            fields.push(("qos_paced_gcs", Value::from(q.paced_gcs)));
+            fields.push((
+                "qos_gc_credit_exhausted",
+                Value::from(q.gc_credit_exhausted),
+            ));
+            fields.push(("qos_fairness_throttles", Value::from(q.fairness_throttles)));
+            fields.push(("qos_max_service_lag", Value::from(q.max_service_lag)));
+            fields.push((
+                "qos_max_queue_occupancy",
+                Value::from(q.max_queue_occupancy),
+            ));
+            fields.push(("qos_read_p50", Value::from(q.read_p50)));
+            fields.push(("qos_read_p95", Value::from(q.read_p95)));
+            fields.push(("qos_read_p99", Value::from(q.read_p99)));
+            fields.push(("qos_write_p50", Value::from(q.write_p50)));
+            fields.push(("qos_write_p95", Value::from(q.write_p95)));
+            fields.push(("qos_write_p99", Value::from(q.write_p99)));
+            // Per-app latency breakdowns ride with the QoS summary so the
+            // default output stays byte-stable across versions.
+            fields.push(("per_app_read_latency", app_map(&self.per_app_read_latency)));
+            fields.push((
+                "per_app_write_latency",
+                app_map(&self.per_app_write_latency),
+            ));
         }
         if let Some(cr) = &self.crash_recovery {
-            fields.extend([
-                ("crash_at_requests", cr.at_requests.into()),
-                ("crash_at_cycle", cr.at_cycle.raw().into()),
-                ("crash_pages_scanned", cr.pages_scanned.into()),
-                ("crash_torn_discarded", cr.torn_discarded.into()),
-                ("crash_stale_dropped", cr.stale_dropped.into()),
-                ("crash_blocks_erased", cr.blocks_erased.into()),
-                ("crash_scan_cycles", cr.scan_cycles.raw().into()),
-            ]);
+            fields.push(("crash_at_requests", Value::from(cr.at_requests)));
+            fields.push(("crash_at_cycle", Value::from(cr.at_cycle.raw())));
+            fields.push(("crash_pages_scanned", Value::from(cr.pages_scanned)));
+            fields.push(("crash_torn_discarded", Value::from(cr.torn_discarded)));
+            fields.push(("crash_stale_dropped", Value::from(cr.stale_dropped)));
+            fields.push(("crash_blocks_erased", Value::from(cr.blocks_erased)));
+            fields.push(("crash_scan_cycles", Value::from(cr.scan_cycles.raw())));
             // Gated on the integrity summary so integrity-off crash runs
             // stay byte-identical to builds without this machinery.
             if self.integrity.is_some() {
-                fields.push(("crash_corrupt_quarantined", cr.corrupt_quarantined.into()));
+                fields.push((
+                    "crash_corrupt_quarantined",
+                    Value::from(cr.corrupt_quarantined),
+                ));
             }
             // Fast-path accounting rides with the checkpoint summary so
             // checkpoint-off crash runs stay byte-identical too.
             if self.checkpoint.is_some() {
-                fields.extend([
-                    ("crash_fast_path", cr.fast_path.into()),
-                    ("crash_fallback", cr.fallback.into()),
-                    ("crash_journal_replayed", cr.journal_replayed.into()),
-                    ("crash_blocks_rescanned", cr.blocks_rescanned.into()),
-                    ("crash_cycles_saved", cr.cycles_saved.raw().into()),
-                ]);
+                fields.push(("crash_fast_path", Value::from(cr.fast_path)));
+                fields.push(("crash_fallback", Value::from(cr.fallback)));
+                fields.push(("crash_journal_replayed", Value::from(cr.journal_replayed)));
+                fields.push(("crash_blocks_rescanned", Value::from(cr.blocks_rescanned)));
+                fields.push(("crash_cycles_saved", Value::from(cr.cycles_saved.raw())));
             }
         }
         if let Some(rd) = &self.redundancy {
-            fields.extend([
-                ("rain_reconstructions", rd.reconstructions.into()),
-                ("rain_reconstruction_reads", rd.reconstruction_reads.into()),
-                ("rain_parity_pages", rd.parity_pages.into()),
-                ("scrub_ticks", rd.scrub_ticks.into()),
-                ("scrub_scanned", rd.scrub_scanned.into()),
-                ("scrub_rewrites", rd.scrub_rewrites.into()),
-                ("scrub_overruns", rd.scrub_overruns.into()),
-                ("rebuild_pages", rd.rebuild_pages.into()),
-                ("degraded_reads", rd.degraded_reads.into()),
-                ("fenced_blocks", rd.fenced_blocks.into()),
-                ("dead_die_reads", rd.dead_die_reads.into()),
-                ("rerouted_transfers", rd.rerouted_transfers.into()),
-                (
-                    "retry_depth_histogram",
-                    rd.retry_depth_histogram.to_vec().into(),
-                ),
-            ]);
+            fields.push(("rain_reconstructions", Value::from(rd.reconstructions)));
+            fields.push((
+                "rain_reconstruction_reads",
+                Value::from(rd.reconstruction_reads),
+            ));
+            fields.push(("rain_parity_pages", Value::from(rd.parity_pages)));
+            fields.push(("scrub_ticks", Value::from(rd.scrub_ticks)));
+            fields.push(("scrub_scanned", Value::from(rd.scrub_scanned)));
+            fields.push(("scrub_rewrites", Value::from(rd.scrub_rewrites)));
+            fields.push(("scrub_overruns", Value::from(rd.scrub_overruns)));
+            fields.push(("rebuild_pages", Value::from(rd.rebuild_pages)));
+            fields.push(("degraded_reads", Value::from(rd.degraded_reads)));
+            fields.push(("fenced_blocks", Value::from(rd.fenced_blocks)));
+            fields.push(("dead_die_reads", Value::from(rd.dead_die_reads)));
+            fields.push(("rerouted_transfers", Value::from(rd.rerouted_transfers)));
+            fields.push((
+                "retry_depth_histogram",
+                Value::from(rd.retry_depth_histogram.to_vec()),
+            ));
         }
         if let Some(i) = &self.integrity {
-            fields.extend([
-                ("integrity_silent_corruptions", i.silent_corruptions.into()),
-                ("integrity_detected", i.detected.into()),
-                ("integrity_rereads", i.rereads.into()),
-                ("integrity_reconstructed", i.reconstructed.into()),
-                ("integrity_quarantined", i.quarantined.into()),
-                ("integrity_poisoned_lines", i.poisoned_lines.into()),
-            ]);
+            fields.push((
+                "integrity_silent_corruptions",
+                Value::from(i.silent_corruptions),
+            ));
+            fields.push(("integrity_detected", Value::from(i.detected)));
+            fields.push(("integrity_rereads", Value::from(i.rereads)));
+            fields.push(("integrity_reconstructed", Value::from(i.reconstructed)));
+            fields.push(("integrity_quarantined", Value::from(i.quarantined)));
+            fields.push(("integrity_poisoned_lines", Value::from(i.poisoned_lines)));
         }
         if let Some(e) = &self.endurance {
-            fields.extend([
-                ("endurance_refresh_ticks", e.refresh_ticks.into()),
-                ("endurance_refreshes", e.refreshes.into()),
-                ("endurance_disturb_refreshes", e.disturb_refreshes.into()),
-                (
-                    "endurance_retention_refreshes",
-                    e.retention_refreshes.into(),
-                ),
-                ("endurance_refreshed_pages", e.refreshed_pages.into()),
-                ("endurance_level_migrations", e.level_migrations.into()),
-                ("endurance_leveled_pages", e.leveled_pages.into()),
-                ("endurance_refresh_overruns", e.refresh_overruns.into()),
-                ("endurance_capacity_steps", e.capacity_steps.into()),
-                ("endurance_writes_refused", e.writes_refused.into()),
-                ("endurance_disturb_reads", e.disturb_reads.into()),
-                (
-                    "endurance_disturb_errors",
-                    e.disturb_triggered_errors.into(),
-                ),
-                ("wear_max_fraction", e.wear_max.into()),
-                ("wear_mean_fraction", e.wear_mean.into()),
-                ("wear_min_fraction", e.wear_min.into()),
-                ("wear_spread", e.wear_spread.into()),
-            ]);
+            fields.push(("endurance_refresh_ticks", Value::from(e.refresh_ticks)));
+            fields.push(("endurance_refreshes", Value::from(e.refreshes)));
+            fields.push((
+                "endurance_disturb_refreshes",
+                Value::from(e.disturb_refreshes),
+            ));
+            fields.push((
+                "endurance_retention_refreshes",
+                Value::from(e.retention_refreshes),
+            ));
+            fields.push(("endurance_refreshed_pages", Value::from(e.refreshed_pages)));
+            fields.push((
+                "endurance_level_migrations",
+                Value::from(e.level_migrations),
+            ));
+            fields.push(("endurance_leveled_pages", Value::from(e.leveled_pages)));
+            fields.push((
+                "endurance_refresh_overruns",
+                Value::from(e.refresh_overruns),
+            ));
+            fields.push(("endurance_capacity_steps", Value::from(e.capacity_steps)));
+            fields.push(("endurance_writes_refused", Value::from(e.writes_refused)));
+            fields.push(("endurance_disturb_reads", Value::from(e.disturb_reads)));
+            fields.push((
+                "endurance_disturb_errors",
+                Value::from(e.disturb_triggered_errors),
+            ));
+            fields.push(("wear_max_fraction", Value::from(e.wear_max)));
+            fields.push(("wear_mean_fraction", Value::from(e.wear_mean)));
+            fields.push(("wear_min_fraction", Value::from(e.wear_min)));
+            fields.push(("wear_spread", Value::from(e.wear_spread)));
         }
         if let Some(c) = &self.checkpoint {
-            fields.extend([
-                ("checkpoint_ticks", c.checkpoint_ticks.into()),
-                ("checkpoints", c.checkpoints.into()),
-                ("checkpoint_pages", c.checkpoint_pages.into()),
-                ("journal_records", c.journal_records.into()),
-                ("journal_pages", c.journal_pages.into()),
-                ("checkpoint_overruns", c.overruns.into()),
-                ("journal_overflows", c.journal_overflows.into()),
-                ("checkpoints_aborted", c.aborted.into()),
-            ]);
+            fields.push(("checkpoint_ticks", Value::from(c.checkpoint_ticks)));
+            fields.push(("checkpoints", Value::from(c.checkpoints)));
+            fields.push(("checkpoint_pages", Value::from(c.checkpoint_pages)));
+            fields.push(("journal_records", Value::from(c.journal_records)));
+            fields.push(("journal_pages", Value::from(c.journal_pages)));
+            fields.push(("checkpoint_overruns", Value::from(c.overruns)));
+            fields.push(("journal_overflows", Value::from(c.journal_overflows)));
+            fields.push(("checkpoints_aborted", Value::from(c.aborted)));
         }
         if let Some(h) = &self.health {
-            let die = |d: &DieBreakdown| {
-                Value::object(vec![
-                    ("reads", d.reads.into()),
-                    ("retry_steps", d.retry_steps.into()),
-                    ("uncorrectable_reads", d.uncorrectable_reads.into()),
-                    ("programs", d.programs.into()),
-                    ("program_failures", d.program_failures.into()),
-                    ("erases", d.erases.into()),
-                    ("erase_failures", d.erase_failures.into()),
-                ])
-            };
-            fields.extend([
-                ("health_ticks", h.health_ticks.into()),
-                ("health_suspects_flagged", h.suspects_flagged.into()),
-                ("health_pages_evacuated", h.pages_evacuated.into()),
-                (
-                    "health_evacuations_completed",
-                    h.evacuations_completed.into(),
-                ),
-                ("health_rehabilitations", h.rehabilitations.into()),
-                ("health_evacuation_overruns", h.evacuation_overruns.into()),
-                ("health_dead_dies_fenced", h.dead_dies_fenced.into()),
-                (
-                    "health_quarantined",
+            fields.push(("health_ticks", Value::from(h.health_ticks)));
+            fields.push(("health_suspects_flagged", Value::from(h.suspects_flagged)));
+            fields.push(("health_pages_evacuated", Value::from(h.pages_evacuated)));
+            fields.push((
+                "health_evacuations_completed",
+                Value::from(h.evacuations_completed),
+            ));
+            fields.push(("health_rehabilitations", Value::from(h.rehabilitations)));
+            fields.push((
+                "health_evacuation_overruns",
+                Value::from(h.evacuation_overruns),
+            ));
+            fields.push(("health_dead_dies_fenced", Value::from(h.dead_dies_fenced)));
+            fields.push((
+                "health_quarantined",
+                Value::Array(
                     h.quarantined
                         .iter()
-                        .map(|&(c, d)| format!("{c}:{d}"))
-                        .collect::<Vec<_>>()
-                        .into(),
+                        .map(|&(c, d)| Value::from(format!("{c}:{d}")))
+                        .collect(),
                 ),
-                (
-                    "per_die_health",
-                    Value::object(
-                        h.per_die
-                            .iter()
-                            .map(|d| (format!("{}:{}", d.channel, d.die), die(d)))
-                            .collect(),
-                    ),
+            ));
+            fields.push((
+                "per_die_health",
+                Value::object(
+                    h.per_die
+                        .iter()
+                        .map(|d| {
+                            (
+                                format!("{}:{}", d.channel, d.die),
+                                Value::object(vec![
+                                    ("reads".to_string(), Value::from(d.reads)),
+                                    ("retry_steps".to_string(), Value::from(d.retry_steps)),
+                                    (
+                                        "uncorrectable_reads".to_string(),
+                                        Value::from(d.uncorrectable_reads),
+                                    ),
+                                    ("programs".to_string(), Value::from(d.programs)),
+                                    (
+                                        "program_failures".to_string(),
+                                        Value::from(d.program_failures),
+                                    ),
+                                    ("erases".to_string(), Value::from(d.erases)),
+                                    ("erase_failures".to_string(), Value::from(d.erase_failures)),
+                                ]),
+                            )
+                        })
+                        .collect(),
                 ),
-            ]);
+            ));
         }
         if let Some(p) = &self.perf {
-            fields.extend([
-                ("perf_wall_seconds", p.wall_seconds.into()),
-                ("perf_events", p.events.into()),
-                ("perf_events_per_sec", p.events_per_sec.into()),
-                ("perf_peak_queue_depth", p.peak_queue_depth.into()),
-                ("perf_compute_events", p.compute_events.into()),
-                ("perf_mem_events", p.mem_events.into()),
-                ("perf_blocked_events", p.blocked_events.into()),
-                ("perf_maintenance_events", p.maintenance_events.into()),
-                ("perf_skipped_events", p.skipped_events.into()),
-                ("perf_maint_checkpoint_s", p.maint_checkpoint_s.into()),
-                ("perf_maint_refresh_s", p.maint_refresh_s.into()),
-                ("perf_maint_scrub_s", p.maint_scrub_s.into()),
-                ("perf_maint_health_s", p.maint_health_s.into()),
-            ]);
+            fields.push(("perf_wall_seconds", Value::from(p.wall_seconds)));
+            fields.push(("perf_events", Value::from(p.events)));
+            fields.push(("perf_events_per_sec", Value::from(p.events_per_sec)));
+            fields.push(("perf_peak_queue_depth", Value::from(p.peak_queue_depth)));
+            fields.push(("perf_compute_events", Value::from(p.compute_events)));
+            fields.push(("perf_mem_events", Value::from(p.mem_events)));
+            fields.push(("perf_blocked_events", Value::from(p.blocked_events)));
+            fields.push(("perf_maintenance_events", Value::from(p.maintenance_events)));
+            fields.push(("perf_skipped_events", Value::from(p.skipped_events)));
+            fields.push(("perf_maint_checkpoint_s", Value::from(p.maint_checkpoint_s)));
+            fields.push(("perf_maint_refresh_s", Value::from(p.maint_refresh_s)));
+            fields.push(("perf_maint_scrub_s", Value::from(p.maint_scrub_s)));
+            fields.push(("perf_maint_health_s", Value::from(p.maint_health_s)));
         }
         Value::object(fields)
     }

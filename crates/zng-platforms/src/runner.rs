@@ -44,45 +44,29 @@ const REDIRECT_CAP: u64 = 4096;
 /// Redirected lines drained back to the registers per drain opportunity.
 const DRAIN_CHUNK: usize = 256;
 
-/// A background maintenance subsystem the runner steps at a
-/// request-count cadence.
-#[derive(Debug, Clone, Copy)]
-enum Subsystem {
-    /// Patrol scrub (redundancy).
-    Scrub,
-    /// Refresh-scheduler step: disturb/retention threshold scan → block
-    /// refresh, or one static-levelling migration (endurance).
-    Refresh,
-    /// One mapping snapshot into the reserved checkpoint namespace.
-    Checkpoint,
-    /// Predictive-health tick: score the per-die telemetry, fence freshly
-    /// dead dies, evacuate one victim block off a suspect and
-    /// rehabilitate false positives.
-    Health,
-}
-
-impl Subsystem {
-    /// Runs one step on `backend`; returns the foreground stall horizon.
-    fn step(self, backend: &mut Backend, now: Cycle) -> Result<Cycle> {
-        match self {
-            Subsystem::Scrub => backend.scrub_step(now),
-            Subsystem::Refresh => backend.refresh_step(now),
-            Subsystem::Checkpoint => Ok(backend.checkpoint_step(now)),
-            Subsystem::Health => backend.health_step(now),
-        }
-    }
-}
-
 /// One row of the runner's maintenance table.
 #[derive(Debug, Clone, Copy)]
 struct Maintenance {
-    subsystem: Subsystem,
+    /// Runs one step of the subsystem; returns the foreground stall
+    /// horizon.
+    step: fn(&mut Backend, Cycle) -> Result<Cycle>,
     /// Cadence, keyed to completed requests; disarmed when the subsystem
     /// is off.
     ticker: PatrolTicker,
     /// Host seconds inside this subsystem's steps in the current run
     /// (timed under `--perf` only).
     host_s: f64,
+}
+
+impl Maintenance {
+    /// A row stepping `step` every `every` completed requests.
+    fn new(step: fn(&mut Backend, Cycle) -> Result<Cycle>, every: u64) -> Maintenance {
+        Maintenance {
+            step,
+            ticker: PatrolTicker::every_ops(every),
+            host_s: 0.0,
+        }
+    }
 }
 
 /// One platform instance ready to run workloads.
@@ -203,16 +187,11 @@ impl Simulation {
             // Validation guarantees a disabled subsystem has no cadence,
             // so its ticker never fires.
             maintenance: [
-                (Subsystem::Scrub, cfg.redundancy.scrub_every_ops),
-                (Subsystem::Refresh, cfg.endurance.refresh_every_ops),
-                (Subsystem::Checkpoint, cfg.checkpoint.every_ops),
-                (Subsystem::Health, cfg.health.every_ops),
-            ]
-            .map(|(subsystem, every)| Maintenance {
-                subsystem,
-                ticker: PatrolTicker::every_ops(every),
-                host_s: 0.0,
-            }),
+                Maintenance::new(Backend::scrub_step, cfg.redundancy.scrub_every_ops),
+                Maintenance::new(Backend::refresh_step, cfg.endurance.refresh_every_ops),
+                Maintenance::new(|b, t| Ok(b.checkpoint_step(t)), cfg.checkpoint.every_ops),
+                Maintenance::new(Backend::health_step, cfg.health.every_ops),
+            ],
             qos_retried: 0,
             qos_budget_exhausted: 0,
             pinned_overflow_stalls: 0,
@@ -364,7 +343,7 @@ impl Simulation {
                     if m.ticker.poll(requests) {
                         perf_maint += 1;
                         let t0 = lap();
-                        let horizon = m.subsystem.step(&mut self.backend, now)?;
+                        let horizon = (m.step)(&mut self.backend, now)?;
                         m.host_s += since(t0);
                         block_all_apps(&mut self.app_blocked_until, mix, horizon);
                     }
